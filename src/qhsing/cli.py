@@ -9,8 +9,10 @@ irregular perturbations), 1 internal errors.
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -51,17 +53,56 @@ def _parse_b(text: str) -> list[complex]:
     return out
 
 
+# The --path grammar: numbers, these names and functions, + - * / ** and
+# unary signs.  Anything else is refused before a path is ever evaluated.
+_PATH_CONSTS = {"pi": math.pi, "e": math.e, "j": 1j}
+_PATH_FUNCS = {"exp": cmath.exp, "cos": cmath.cos, "sin": cmath.sin, "sqrt": cmath.sqrt}
+_PATH_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+                ast.Div: operator.truediv, ast.Pow: operator.pow}
+_PATH_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
+
+def _path_term(node, text: str):
+    """Closure lam -> value of one whitelisted expression node."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float, complex):
+        v = node.value
+        return lambda lam: v
+    if isinstance(node, ast.Name) and node.id == "lam":
+        return lambda lam: lam
+    if isinstance(node, ast.Name) and node.id in _PATH_CONSTS:
+        v = _PATH_CONSTS[node.id]
+        return lambda lam: v
+    if isinstance(node, ast.BinOp) and type(node.op) in _PATH_BINOPS:
+        op = _PATH_BINOPS[type(node.op)]
+        a, b = _path_term(node.left, text), _path_term(node.right, text)
+        return lambda lam: op(a(lam), b(lam))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _PATH_UNARY:
+        op, a = _PATH_UNARY[type(node.op)], _path_term(node.operand, text)
+        return lambda lam: op(a(lam))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _PATH_FUNCS and len(node.args) == 1 and not node.keywords):
+        f, a = _PATH_FUNCS[node.func.id], _path_term(node.args[0], text)
+        return lambda lam: f(a(lam))
+    raise DomainError(f"--path: {ast.get_source_segment(text, node)!r} is not allowed")
+
+
 def _parse_path(expr: str):
     """Build lambda -> b vector from comma-separated expressions in `lam`."""
-    parts = [p.strip() for p in expr.split(",")]
-    env = {
-        "pi": math.pi, "e": math.e, "exp": cmath.exp, "cos": cmath.cos,
-        "sin": cmath.sin, "sqrt": cmath.sqrt, "j": 1j,
-    }
+    terms = []
+    for part in expr.split(","):
+        part = part.strip()
+        try:
+            terms.append(_path_term(ast.parse(part, mode="eval").body, part))
+        except SyntaxError as exc:
+            raise DomainError(f"--path: cannot parse {part!r}: {exc.msg}") from None
+        except RecursionError:
+            raise DomainError(f"--path: {part[:20]!r}... is nested too deeply") from None
 
     def path(lam: float):
-        local = dict(env, lam=lam)
-        return [complex(eval(p, {"__builtins__": {}}, local)) for p in parts]
+        try:
+            return [complex(t(lam)) for t in terms]
+        except ArithmeticError as exc:
+            raise DomainError(f"--path at lam={lam:.6g}: {exc}") from None
 
     return path
 

@@ -1,0 +1,71 @@
+"""Exact linear algebra over Fraction: solve, inverse and determinant.
+
+All three rest on one Gauss-Jordan elimination, so every exact matrix
+computation in the package shares a single pivoting rule.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+class RankError(ValueError):
+    """The matrix or system is rank-deficient in its unknowns."""
+
+
+class InconsistentError(ValueError):
+    """An overdetermined system has no solution."""
+
+
+def _gauss_jordan(rows: list[list[Fraction]], n: int) -> tuple[int, Fraction]:
+    """Reduce rows in place to reduced row-echelon form on the first n columns.
+
+    Returns the rank and the determinant factor: the product of the
+    pivots, signed by the row swaps.
+    """
+    rank, factor = 0, Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            factor = -factor
+        p = rows[rank][col]
+        factor *= p
+        rows[rank] = [v / p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank, factor
+
+
+def solve(A, b) -> tuple[Fraction, ...]:
+    """The unique x with A x = b for a square or overdetermined A."""
+    n = len(A[0])
+    rows = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(A, b)]
+    rank, _ = _gauss_jordan(rows, n)
+    if rank < n:
+        raise RankError("rank-deficient system")
+    if any(row[n] != 0 for row in rows[n:]):
+        raise InconsistentError("inconsistent system")
+    return tuple(row[n] for row in rows[:n])
+
+
+def inverse(A) -> list[list[Fraction]]:
+    """Inverse of a square matrix; RankError when it is singular."""
+    n = len(A)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(A)]
+    if _gauss_jordan(rows, n)[0] < n:
+        raise RankError("singular matrix")
+    return [row[n:] for row in rows]
+
+
+def det(A) -> Fraction:
+    """Determinant of a square matrix."""
+    n = len(A)
+    rank, factor = _gauss_jordan([[Fraction(v) for v in row] for row in A], n)
+    return factor if rank == n else Fraction(0)

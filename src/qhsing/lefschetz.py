@@ -10,10 +10,11 @@ vectors.  Everything is exact (int / Fraction).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
+
+from . import exact
 
 __all__ = [
     "ThimbleState",
@@ -48,45 +49,6 @@ def _matmul(A, B) -> list[list[Fraction]]:
 
 def _transpose(A) -> list[list[Fraction]]:
     return [list(col) for col in zip(*A)]
-
-
-def _det(A) -> Fraction:
-    n = len(A)
-    M = [list(row) for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(col + 1, n):
-            if M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return det
-
-
-def _inverse(A) -> list[list[Fraction]]:
-    n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def pl_sign(n_gamma: int) -> int:
@@ -152,13 +114,13 @@ def _apply_basis_change(state: ThimbleState, M,
     coordinates transform contravariantly (by the inverse transpose) so
     the represented classes are unchanged.  M must be unimodular.
     """
-    det = _det(M)
+    det = exact.det(M)
     if det not in (Fraction(1), Fraction(-1)):
         raise ValueError(f"basis change is not unimodular (det {det})")
     R_new = _mat(_matmul(_matmul(M, [list(r) for r in state.R]), _transpose(M)))
     coords = state.cycle_coords
     if coords is not None:
-        Minv_T = _transpose(_inverse(M))
+        Minv_T = _transpose(exact.inverse(M))
         coords = tuple(
             tuple(sum((Minv_T[i][k] * v[k] for k in range(state.mu)), Fraction(0))
                   for i in range(state.mu))
@@ -316,7 +278,7 @@ def casimir(pairing) -> RationalTensor:
     Coefficient c[i][j] multiplies basis_i (x) basis_j, with
     c = pairing^{-1}.
     """
-    eta_inv = _inverse([[Fraction(v) for v in row] for row in pairing])
+    eta_inv = exact.inverse(pairing)
     return RationalTensor.from_nested(eta_inv)
 
 
@@ -355,18 +317,3 @@ def contract_pm(tensor: RationalTensor, pairing,
                      for k in range(out_shape[dim_idx]))
 
     return RationalTensor(shape=out_shape, data=build(0, ()))
-
-
-def state_report(state: ThimbleState) -> str:
-    """Structured-text export: labels, parity, sign, R, cycle coords."""
-    lines = [
-        "labels " + ",".join(state.labels),
-        f"parity {'symmetric' if state.parity == 1 else 'antisymmetric'}",
-        f"pl_sign {state.pl_sign:+d}",
-    ]
-    for row in state.R:
-        lines.append("R " + " ".join(str(v) for v in row))
-    if state.cycle_coords is not None:
-        for v in state.cycle_coords:
-            lines.append("cycle " + " ".join(str(x) for x in v))
-    return "\n".join(lines) + "\n"

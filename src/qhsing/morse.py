@@ -173,7 +173,7 @@ def is_strongly_regular(m: MorseData) -> tuple[bool, tuple[int, int] | None]:
 
 
 def _track_roots(W: QHPoly, points: list[np.ndarray],
-                 b_old, b_new) -> list[np.ndarray] | None:
+                 b_new) -> list[np.ndarray] | None:
     """One continuation step: polish previous roots at the new parameter.
 
     Returns None when a root is lost or two tracked roots collide,
@@ -230,7 +230,7 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
         if depth > 40:
             raise MorseError(f"loss of tracked root near lambda={lam_from:.6g}")
         b_new = np.asarray(path(lam_to), dtype=complex)
-        nxt = _track_roots(W, pts, None, b_new)
+        nxt = _track_roots(W, pts, b_new)
         if nxt is not None:
             return nxt
         mid = 0.5 * (lam_from + lam_to)
@@ -244,8 +244,11 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
         lam = k / steps
         points_new = advance(points, lam_prev, lam)
         gaps = im_gaps(points_new, lam)
+        # A gap that lands exactly on 0 at a grid point counts here, once;
+        # the sign test alone misses it on both sides.
         flipped = [pair for pair in gaps
-                   if gaps_prev[pair] * gaps[pair] < 0]
+                   if gaps_prev[pair] * gaps[pair] < 0
+                   or (gaps[pair] == 0 and gaps_prev[pair] != 0)]
         if len(flipped) > 1:
             raise MorseError(f"non-generic crossing near lambda={lam:.6g}: pairs {flipped}")
         if flipped:

@@ -17,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .wpoly import QHPoly, WeightError, value
+from .wpoly import QHPoly, WeightError
 
 __all__ = [
     "GroupElement",
@@ -75,11 +75,7 @@ class GroupElement:
         return GroupElement(tuple(_mod1(-t) for t in self.theta))
 
     def __pow__(self, k: int) -> "GroupElement":
-        base = self if k >= 0 else self.inverse()
-        out = GroupElement(tuple(Fraction(0) for _ in self.theta))
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        return GroupElement(tuple(_mod1(k * t) for t in self.theta))
 
     def phases_complex(self) -> np.ndarray:
         return np.array([cmath.exp(2j * cmath.pi * float(t)) for t in self.theta])
@@ -98,8 +94,6 @@ class Sector:
     iota: Fraction
     w_gamma_monomials: tuple[int, ...]
     is_ramond: bool
-    cyclic_order: int        # |<gamma>|
-    acts_faithfully: bool    # <gamma> acts faithfully on C^N
 
 
 def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,25 +195,6 @@ def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return U, S, V
 
 
-def _frac_inverse(M) -> list[list[Fraction]]:
-    """Exact inverse of a square integer/rational matrix."""
-    n = len(M)
-    aug = [[Fraction(M[i][j]) for j in range(n)] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def is_member(W: QHPoly, gamma: GroupElement) -> bool:
     """True iff every monomial phase sum B.Theta is an integer."""
     if gamma.n_vars != W.n_vars:
@@ -291,20 +266,12 @@ def sector_data(W: QHPoly, gamma: GroupElement) -> Sector:
     w_gamma = tuple(
         j for j, row in enumerate(W.exponents)
         if sum(b * t for b, t in zip(row, gamma.theta)) == 0)
-    # Faithfulness of <gamma> acting diagonally: the phase vector must
-    # have order equal to the cyclic group it generates, which holds by
-    # construction; the action is faithful iff no smaller power acts
-    # trivially, i.e. always for the diagonal representation.
-    order = gamma.order
-    faithful = all((gamma ** k).is_identity is False for k in range(1, order)) or order == 1
     return Sector(gamma=gamma,
                   fixed_indices=fixed,
                   n_gamma=len(fixed),
                   iota=iota,
                   w_gamma_monomials=w_gamma,
-                  is_ramond=len(fixed) > 0,
-                  cyclic_order=order,
-                  acts_faithfully=faithful)
+                  is_ramond=len(fixed) > 0)
 
 
 def restricted_polynomial(W: QHPoly, gamma: GroupElement) -> QHPoly | None:
@@ -348,8 +315,7 @@ class Involution:
         return GroupElement.from_phases([2 * t for t in self.turns])
 
 
-def gluing_involution(W: QHPoly, verify_samples: int = 10, seed: int = 0,
-                      tol: float = 1e-10, choice: int = 0) -> Involution:
+def gluing_involution(W: QHPoly, choice: int = 0) -> Involution:
     """Anti-symmetry I scaling coordinate i by xi^{n_i}, xi = exp(i pi/d).
 
     d is the common denominator of the weights and q_i = n_i/d.  The
@@ -360,13 +326,10 @@ def gluing_involution(W: QHPoly, verify_samples: int = 10, seed: int = 0,
     d = reduce(math.lcm, (q.denominator for q in W.weights), 1)
     turns = tuple(Fraction((q * d).numerator * (1 + 2 * choice), 2 * d) for q in W.weights)
     inv = Involution(tuple(_mod1(t) for t in turns))
-    rng = np.random.default_rng(seed)
-    for _ in range(verify_samples):
-        u = rng.normal(size=W.n_vars) + 1j * rng.normal(size=W.n_vars)
-        lhs = value(W, inv.apply(u))
-        rhs = -value(W, u)
-        if abs(lhs - rhs) > tol * max(1.0, abs(rhs)):
-            raise RuntimeError(f"involution verification failed: {lhs} vs {rhs}")
+    # W(I u) = -W(u) holds exactly when I multiplies every monomial by -1.
+    for row in W.exponents:
+        if _mod1(sum(b * t for b, t in zip(row, inv.turns))) != Fraction(1, 2):
+            raise RuntimeError(f"involution does not negate monomial {row}")
     if not is_member(W, inv.square()):
         raise RuntimeError("square of the involution is not a group element")
     return inv

@@ -11,13 +11,14 @@ double-precision complex.
 from __future__ import annotations
 
 import cmath
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+
+from . import exact
 
 __all__ = [
     "PolynomialError",
@@ -81,10 +82,6 @@ class QHPoly:
     def n_monomials(self) -> int:
         return len(self.exponents)
 
-    @property
-    def exponent_matrix(self) -> tuple[tuple[int, ...], ...]:
-        return self.exponents
-
     @staticmethod
     def from_monomials(n_vars: int,
                        monomials: Sequence[tuple[Sequence[int], complex]]) -> "QHPoly":
@@ -127,44 +124,6 @@ class QHPoly:
         return " + ".join(parts)
 
 
-def _solve_exact(B: Sequence[Sequence[int]], rhs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Solve the (possibly overdetermined) system B x = rhs exactly.
-
-    Gaussian elimination over Fraction; raises WeightError when the
-    system is rank-deficient in the unknowns or inconsistent.
-    """
-    rows = [[Fraction(v) for v in row] + [Fraction(r)]
-            for row, r in zip(B, rhs)]
-    n = len(B[0])
-    pivot_rows = []
-    used = [False] * len(rows)
-    for col in range(n):
-        piv = None
-        for r in range(len(rows)):
-            if not used[r] and rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise WeightError("weight system is rank-deficient (weights not unique)")
-        used[piv] = True
-        pivot_rows.append((col, piv))
-        inv = 1 / rows[piv][col]
-        rows[piv] = [v * inv for v in rows[piv]]
-        for r in range(len(rows)):
-            if r != piv and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[piv])]
-    # Remaining rows must have reduced to zero for consistency.
-    for r in range(len(rows)):
-        if not used[r]:
-            if any(v != 0 for v in rows[r]):
-                raise WeightError("inconsistent weight system")
-    x = [Fraction(0)] * n
-    for col, piv in pivot_rows:
-        x[col] = rows[piv][-1]
-    return tuple(x)
-
-
 def compute_weights(B: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
     """Exact rational weights q with B q = 1 componentwise.
 
@@ -174,7 +133,12 @@ def compute_weights(B: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
     if not B:
         raise WeightError("empty exponent matrix")
     n = len(B[0])
-    q = _solve_exact(B, [Fraction(1)] * len(B))
+    try:
+        q = exact.solve(B, [1] * len(B))
+    except exact.RankError:
+        raise WeightError("weight system is rank-deficient (weights not unique)") from None
+    except exact.InconsistentError:
+        raise WeightError("inconsistent weight system") from None
     for i, qi in enumerate(q):
         if not (0 < qi < Fraction(1, 2)):
             raise WeightError(

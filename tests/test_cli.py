@@ -1,5 +1,9 @@
+import ast
+import pathlib
+
 import pytest
 
+import qhsing
 from qhsing import cli
 from qhsing.graphcalc import (DecoratedGraph, Tail, graph_to_text)
 from qhsing.symmetry import GroupElement, enumerate_group
@@ -88,6 +92,37 @@ class TestMorseCommands:
         lam = float(out.split("crossing lambda ")[1].split()[0])
         assert abs(lam - 1.0 / 3.0) < 1e-8
 
+    def test_walls_shifted_path(self, capsys):
+        status, out = run(capsys, "walls", "x^4",
+                          "--path", "3.1*exp(-1*0.5*1j*pi*(lam+0.1))")
+        assert status == 0
+        assert "n_crossings 2" in out
+        lams = [float(part.split()[0]) for part in out.split("crossing lambda ")[1:]]
+        assert abs(lams[0] - 0.15) < 1e-8 and abs(lams[1] - 0.65) < 1e-8
+
+    @pytest.mark.parametrize("expr, token", [
+        ("().__class__", "().__class__"),
+        ("__import__('os')", "__import__('os')"),
+        ("lam.real", "lam.real"),
+        ("[1][0]", "[1][0]"),
+        ("exp(lam) + (lambda: 1)()", "(lambda: 1)()"),
+        ("abs(lam)", "abs(lam)"),
+    ])
+    def test_walls_path_outside_grammar(self, capsys, monkeypatch, expr, token):
+        def no_continuation(*args, **kwargs):
+            raise AssertionError("continuation ran on a refused path")
+
+        monkeypatch.setattr(cli.morse, "detect_wall_crossings", no_continuation)
+        status, out = run(capsys, "walls", "x^3", "--path", expr)
+        assert status == 2
+        assert out.startswith("error ") and token in out
+
+    @pytest.mark.parametrize("expr", ["3*(lam", "1/0", "10**400"])
+    def test_walls_path_malformed(self, capsys, expr):
+        status, out = run(capsys, "walls", "x^3", "--path", expr)
+        assert status == 2
+        assert out.startswith("error ")
+
 
 class TestSolitonCommand:
     def test_count_on_wall(self, capsys):
@@ -126,3 +161,11 @@ class TestSelftest:
         assert status == 0
         assert "ALL PASS" in out
         assert "FAIL " not in out
+
+
+def test_no_eval_or_exec_in_package():
+    for path in pathlib.Path(qhsing.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                assert name not in ("eval", "exec"), f"{path.name}:{node.lineno}"

@@ -1,0 +1,87 @@
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from qhsing import exact
+from qhsing.symmetry import GroupElement, enumerate_group
+from qhsing.wpoly import WeightError, compute_weights, parse_polynomial
+
+
+def leibniz_det(A):
+    """Permutation-sum determinant, independent of any elimination."""
+    n = len(A)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= A[i][perm[i]]
+        total += term
+    return total
+
+
+def random_matrices(seed, count=40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        # Small entries make singular matrices common enough to be covered.
+        yield [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+
+
+class TestDet:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_leibniz(self, seed):
+        for A in random_matrices(seed):
+            assert exact.det(A) == leibniz_det(A)
+
+    def test_singular_is_zero(self):
+        assert exact.det([[1, 2], [2, 4]]) == 0
+
+
+class TestInverse:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_product_is_identity(self, seed):
+        for A in random_matrices(seed):
+            if leibniz_det(A) == 0:
+                with pytest.raises(exact.RankError):
+                    exact.inverse(A)
+                continue
+            inv = exact.inverse(A)
+            n = len(A)
+            for i in range(n):
+                for j in range(n):
+                    assert sum(A[i][k] * inv[k][j] for k in range(n)) == int(i == j)
+
+    def test_rational_entries(self):
+        A = [[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 5)]]
+        assert exact.inverse(exact.inverse(A)) == A
+
+
+class TestSolve:
+    def test_overdetermined_consistent(self):
+        assert exact.solve([[3, 0], [0, 3], [1, 2]], [1, 1, 1]) == (
+            Fraction(1, 3), Fraction(1, 3))
+
+    @pytest.mark.parametrize("B, message", [
+        ([[1, 1]], "rank-deficient"),
+        ([[3, 0], [4, 0]], "rank-deficient"),
+        ([[2, 1], [4, 2]], "rank-deficient"),
+        ([[3, 0], [0, 3], [2, 2]], "inconsistent"),
+        ([[4, 0], [1, 2], [0, 3]], "inconsistent"),
+    ])
+    def test_weights_refused(self, B, message):
+        with pytest.raises(WeightError, match=message):
+            compute_weights(B)
+
+
+class TestGroupPower:
+    def test_matches_repeated_multiplication(self):
+        for g in enumerate_group(parse_polynomial("x^5+y^7")):
+            order = g.order
+            identity = GroupElement((Fraction(0),) * g.n_vars)
+            up, down = identity, identity
+            for k in range(2 * order + 1):
+                assert g ** k == up and g ** -k == down
+                up, down = up * g, down * g.inverse()

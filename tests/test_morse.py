@@ -112,6 +112,17 @@ class TestWallDetection:
         assert abs(crossings[1].lam - 0.75) < 1e-8
         assert crossings[0].pair != crossings[1].pair
 
+    @pytest.mark.parametrize("r", [2.0, 2.5, 3.0])
+    def test_quartic_walls_on_grid_points(self, r):
+        # Both walls fall on continuation grid points lam = k/200, where
+        # the Im gap of the aligned pair evaluates to exactly 0.
+        W = parse_polynomial("x^4")
+        crossings = detect_wall_crossings(
+            W, lambda lam: [r * cmath.exp(0.5j * cmath.pi * lam)])
+        assert len(crossings) == 2
+        assert abs(crossings[0].lam - 0.25) < 1e-8
+        assert abs(crossings[1].lam - 0.75) < 1e-8
+
 
 class TestReport:
     def test_morse_report_fields(self):
