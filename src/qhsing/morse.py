@@ -44,15 +44,12 @@ class MorseData:
     critical_points: tuple[tuple[complex, ...], ...]
     critical_values: tuple[complex, ...]
     hessian_min_singular_value: tuple[float, ...]
-    ordering: tuple[int, ...]       # permutation sorting by increasing Im(value)
+    ordering: tuple[int, ...]       # by increasing Im(value); tied Im by Re
     im_ties: tuple[tuple[int, int], ...]
 
     @property
     def mu(self) -> int:
         return len(self.critical_points)
-
-    def ordered_points(self) -> list[np.ndarray]:
-        return [np.array(self.critical_points[i]) for i in self.ordering]
 
     def ordered_values(self) -> list[complex]:
         return [self.critical_values[i] for i in self.ordering]
@@ -150,10 +147,14 @@ def find_critical_points(W: QHPoly, b: Sequence[complex],
         if sv[-1] <= HESS_MIN_SV:
             raise MorseError("not W-regular: degenerate Hessian at a critical point")
 
-    order = sorted(range(mu), key=lambda i: (values[i].imag, values[i].real))
     tie_tol = 1e-9 * max((abs(v) for v in values), default=1.0)
     ties = tuple((i, j) for i in range(mu) for j in range(i + 1, mu)
                  if abs(values[i].imag - values[j].imag) <= tie_tol)
+    # Runs of tied Im values are ordered by Re, not by float noise in Im.
+    by_im = sorted(range(mu), key=lambda i: values[i].imag)
+    gaps = [values[q].imag - values[p].imag > tie_tol for p, q in zip(by_im, by_im[1:])]
+    run = dict(zip(by_im, itertools.accumulate(gaps, initial=0)))
+    order = sorted(range(mu), key=lambda i: (run[i], values[i].real))
     return MorseData(W=W, b=b,
                      critical_points=tuple(tuple(u) for u in roots),
                      critical_values=tuple(values),
@@ -211,8 +212,10 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
 
     Tracks every critical point by predictor-corrector continuation with
     step halving, watches the signs of Im(alpha_i - alpha_j) for every
-    pair, and refines each sign change by bisection.  Each crossing must
-    be generic: exactly one pair and a transversal sign change.
+    pair, and refines each sign change by bisection.  Pairs that flip in
+    the same step are refined one by one when they share no critical
+    point (on a direct sum a wall of one summand aligns several pairs at
+    once); pairs that share one are refused as non-generic.
     """
     b0 = np.asarray(path(0.0), dtype=complex)
     m0 = find_critical_points(W, b0, seed=seed)
@@ -249,10 +252,10 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
         flipped = [pair for pair in gaps
                    if gaps_prev[pair] * gaps[pair] < 0
                    or (gaps[pair] == 0 and gaps_prev[pair] != 0)]
-        if len(flipped) > 1:
+        touched = [k for pair in flipped for k in pair]
+        if len(touched) > len(set(touched)):
             raise MorseError(f"non-generic crossing near lambda={lam:.6g}: pairs {flipped}")
-        if flipped:
-            pair = flipped[0]
+        for pair in flipped:
             lo, hi = lam_prev, lam
             pts_lo = points
             g_lo = gaps_prev[pair]
@@ -273,7 +276,7 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
             if refine_tol < lam_star < 1.0 - refine_tol:
                 crossings.append(WallCrossing(lam=lam_star, pair=pair))
         points, gaps_prev, lam_prev = points_new, gaps, lam
-    return crossings
+    return sorted(crossings, key=lambda c: c.lam)
 
 
 def morse_report(m: MorseData) -> str:

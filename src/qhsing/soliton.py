@@ -4,7 +4,8 @@ The flow is du/ds = 2 * conj(grad(W + W0)(u)).  Along any solution the
 imaginary part of (W + W0)(u) is conserved and the real part is
 nondecreasing; both invariants are monitored on every integrated
 trajectory.  Connecting orbits between critical points on a wall are
-counted by shooting from a small sphere around the departure point.
+counted as path lifts of [alpha_i, alpha_j] through W + W0 in one
+variable, and by shooting from a small sphere around kappa_i for N >= 2.
 
 The linear asymptotic analysis lives on a half-cylinder: bounded
 solutions of (d_s + i d_theta + Theta) v = f are built mode by mode
@@ -41,6 +42,11 @@ CAPTURE_RADIUS = 1e-6
 IM_DRIFT_TOL = 1e-8
 RE_MONOTONE_TOL = 1e-10
 CLUSTER_RADIUS = 1e-3
+LIFT_END = 1e-6         # lift ends' offset from alpha_i, alpha_j, in segment lengths
+LIFT_STEP = 1.0 / 16    # largest continuation step in s
+LIFT_MIN_STEP = 1e-12   # step-halving floor; below it the lift is refused
+LIFT_XTOL = 1e-6        # Newton step bound, relative to the start offset
+LIFT_MATCH = 0.25       # end match radius, relative to the model offset
 
 
 @dataclass(frozen=True)
@@ -141,23 +147,70 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
 
 def _unstable_directions(W: QHPoly, b, kappa, n_dirs: int, eps: float,
                          seed: int) -> list[np.ndarray]:
-    """Mesh of departure directions along which Re(W + W0) increases."""
+    """Random departure directions along which Re(W + W0) increases."""
     rng = np.random.default_rng(seed)
     n = len(kappa)
     alpha = perturbed_value(W, b, kappa)
     dirs = []
-    if n == 1:
-        angles = 2 * np.pi * np.arange(n_dirs) / n_dirs
-        cands = [np.array([np.exp(1j * a)]) for a in angles]
-    else:
-        cands = []
-        for _ in range(n_dirs):
-            d = rng.normal(size=n) + 1j * rng.normal(size=n)
-            cands.append(d / np.linalg.norm(d))
-    for d in cands:
+    for _ in range(n_dirs):
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        d /= np.linalg.norm(d)
         if (perturbed_value(W, b, kappa + eps * d) - alpha).real > 0:
             dirs.append(d)
     return dirs
+
+
+def _lifts(W: QHPoly, m: MorseData, i: int, j: int
+           ) -> list[tuple[complex, complex, bool]]:
+    """(start, point at s = 1/2, arrives at kappa_j) for both lifts of [alpha_i, alpha_j].
+
+    Each lift leaves kappa_i on a root of the quadratic model and follows
+    the root of (W + W0)(x) = alpha_i + s (alpha_j - alpha_i) by an Euler
+    predictor dx/dt = 1/W' and a Newton corrector, halving the step in s
+    when the corrector moves more than a tenth of the step.  It arrives if
+    it ends on a model root at kappa_j; a lift that stalls or ends near
+    kappa_j off the model raises ValueError.
+    """
+    b, k_i, k_j = m.b, m.critical_points[i][0], m.critical_points[j][0]
+    a_i, delta = m.critical_values[i], m.critical_values[j] - m.critical_values[i]
+    d_i = np.sqrt(2 * LIFT_END * delta / hessian(W, [k_i])[0, 0])
+    d_j = np.sqrt(-2 * LIFT_END * delta / hessian(W, [k_j])[0, 0])
+    tol = LIFT_XTOL * abs(d_i)
+
+    def root(x, s):
+        """Newton on (W + W0)(x) = alpha_i + s delta; None if unsettled."""
+        for _ in range(8):
+            dx = (perturbed_value(W, b, [x]) - a_i - s * delta) / perturbed_gradient(W, b, [x])[0]
+            x -= dx
+            if abs(dx) <= tol:
+                return x
+        return None
+
+    lifts = []
+    for sign in (1, -1):
+        s, ds, mid = LIFT_END, LIFT_END, None
+        x = start = root(k_i + sign * d_i, s)
+        while s < 1 - LIFT_END:
+            if x is None or ds < LIFT_MIN_STEP:
+                raise ValueError(f"path lift stalls at s={s:.6g}")
+            s_next = 0.5 if s < 0.5 < s + ds else min(s + ds, 1 - LIFT_END)
+            pred = x + (s_next - s) * delta / perturbed_gradient(W, b, [x])[0]
+            nxt = root(pred, s_next)
+            if nxt is None or abs(nxt - pred) > 0.1 * abs(pred - x):
+                ds *= 0.5
+                continue
+            x, s, ds = nxt, s_next, min(2 * ds, LIFT_STEP)
+            mid = x if s == 0.5 else mid
+        miss = min(abs(x - k_j - d_j), abs(x - k_j + d_j))
+        if miss > LIFT_MATCH * abs(d_j) and abs(x - k_j) <= 4 * abs(d_j):
+            raise ValueError("path lift ends near kappa_j off its quadratic model")
+        lifts.append((start, mid, miss <= LIFT_MATCH * abs(d_j)))
+    return lifts
+
+
+def _lift_count(W: QHPoly, m: MorseData, i: int, j: int) -> int:
+    """Solitons from kappa_i to kappa_j in one variable: lifts that arrive."""
+    return sum(1 for _, _, arrives in _lifts(W, m, i, j) if arrives)
 
 
 def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
@@ -167,10 +220,11 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
     """Number of distinct flow lines from critical point i to j.
 
     Requires a wall configuration (equal imaginary values, Re alpha_i <
-    Re alpha_j).  Shots depart from a sphere of radius 1e-3 around
-    kappa_i restricted to the increasing-Re cone; captured orbits are
-    de-duplicated by their midpoint, where the flow's translation
-    freedom in s is fixed at Re(W+W0) = (Re alpha_i + Re alpha_j)/2.
+    Re alpha_j).  W + W0 moves on a horizontal ray along the flow, so for
+    N = 1 the count is that of the two lifts of [alpha_i, alpha_j] from
+    kappa_i that arrive at kappa_j.  For N >= 2 shots depart from a sphere
+    of radius 1e-3 around kappa_i in the increasing-Re cone; captured
+    orbits are de-duplicated by their point on the Re(W+W0) midlevel.
     """
     if i == j:
         return 0
@@ -182,13 +236,15 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
     if not a_i.real < a_j.real:
         raise ValueError("need Re alpha_i < Re alpha_j")
     n = W.n_vars
+    if n == 1:
+        return _lift_count(W, m, i, j)
     if shooting_budget is None:
         shooting_budget = 64 * n
     eps = 1e-3
     mid_re = 0.5 * (a_i.real + a_j.real)
 
     def shoot(u0):
-        """(outcome label, midpoint signature or None) for one start."""
+        """Midpoint signature of a start captured at j, else None."""
         traj = integrate_flow(W, m.b, u0, (0.0, s_max), critical_points=pts)
         if not traj.escaped and traj.endpoints[1] == j:
             # Fix the translation freedom at the Re(W+W0) midlevel,
@@ -198,13 +254,8 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
             kmid = min(max(kmid, 1), len(traj.u) - 1)
             span = wre[kmid] - wre[kmid - 1]
             t = (mid_re - wre[kmid - 1]) / span if span > 0 else 0.0
-            sig = traj.u[kmid - 1] + t * (traj.u[kmid] - traj.u[kmid - 1])
-            return ("capture-j", sig)
-        if not traj.escaped and traj.endpoints[1] is not None:
-            return (f"capture-{traj.endpoints[1]}", None)
-        # Escape channel labelled by the coarse direction of the exit.
-        ang = float(np.angle(complex(np.sum(traj.u[-1]))))
-        return (f"escape-{round(ang, 1)}", None)
+            return traj.u[kmid - 1] + t * (traj.u[kmid] - traj.u[kmid - 1])
+        return None
 
     def cluster_count(signatures):
         clusters: list[list[np.ndarray]] = []
@@ -223,54 +274,16 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
                     ambiguous = True
         return len(clusters), ambiguous
 
-    budget = shooting_budget
     n_dirs = shooting_budget
     while True:
-        signatures = []
-        if n == 1:
-            # One complex variable: the unstable manifold is a curve, so
-            # a connection occupies a single shooting angle.  Sweep the
-            # circle, then bisect every boundary between distinct
-            # trajectory outcomes down to the connecting angle.
-            alpha = perturbed_value(W, m.b, pts[i])
-            angles = [2 * math.pi * k / n_dirs for k in range(n_dirs)]
-            angles = [a for a in angles
-                      if (perturbed_value(W, m.b, pts[i] + eps * np.exp(1j * a))
-                          - alpha).real > 0]
-            outcomes = {}
-            for a in angles:
-                out, sig = shoot(pts[i] + eps * np.exp(1j * a))
-                outcomes[a] = out
-                if sig is not None:
-                    signatures.append(sig)
-            for a_lo, a_hi in zip(angles, angles[1:] + angles[:1]):
-                if outcomes[a_lo] == outcomes[a_hi]:
-                    continue
-                lo, hi = a_lo, a_hi if a_hi > a_lo else a_hi + 2 * math.pi
-                out_lo = outcomes[a_lo]
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    out, sig = shoot(pts[i] + eps * np.exp(1j * mid))
-                    if sig is not None:
-                        signatures.append(sig)
-                        break
-                    if out == out_lo:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-12:
-                        break
-        else:
-            dirs = _unstable_directions(W, m.b, pts[i], n_dirs, eps, seed)
-            for d in dirs:
-                _, sig = shoot(pts[i] + eps * d)
-                if sig is not None:
-                    signatures.append(sig)
+        dirs = _unstable_directions(W, m.b, pts[i], n_dirs, eps, seed)
+        signatures = [sig for sig in (shoot(pts[i] + eps * d) for d in dirs)
+                      if sig is not None]
         count, ambiguous = cluster_count(signatures)
         if not ambiguous:
             return count
         n_dirs *= 2
-        if n_dirs > 8 * budget:
+        if n_dirs > 8 * shooting_budget:
             raise RuntimeError("shooting budget exhausted with ambiguous clusters")
 
 
@@ -342,26 +355,14 @@ def fourier_bounded_solution(theta: float,
             return math.exp(lam * t) * rho(t).imag if lo <= t <= hi else 0.0
 
         for col, s in enumerate(s_grid):
-            if n >= 0:
-                a, bnd = max(s, lo), hi
-                if a >= bnd:
-                    values[row, col] = 0.0
-                    continue
-                re_val, _ = sp_integrate.quad(integrand_re, a, bnd,
-                                              epsabs=quad_tol, epsrel=quad_tol, limit=400)
-                im_val, _ = sp_integrate.quad(integrand_im, a, bnd,
-                                              epsabs=quad_tol, epsrel=quad_tol, limit=400)
-                values[row, col] = -math.exp(-lam * s) * (re_val + 1j * im_val)
-            else:
-                a, bnd = lo, min(s, hi)
-                if a >= bnd:
-                    values[row, col] = 0.0
-                    continue
-                re_val, _ = sp_integrate.quad(integrand_re, a, bnd,
-                                              epsabs=quad_tol, epsrel=quad_tol, limit=400)
-                im_val, _ = sp_integrate.quad(integrand_im, a, bnd,
-                                              epsabs=quad_tol, epsrel=quad_tol, limit=400)
-                values[row, col] = math.exp(-lam * s) * (re_val + 1j * im_val)
+            a, bnd, sign = (max(s, lo), hi, -1.0) if n >= 0 else (lo, min(s, hi), 1.0)
+            if a >= bnd:
+                continue
+            re_val, _ = sp_integrate.quad(integrand_re, a, bnd,
+                                          epsabs=quad_tol, epsrel=quad_tol, limit=400)
+            im_val, _ = sp_integrate.quad(integrand_im, a, bnd,
+                                          epsabs=quad_tol, epsrel=quad_tol, limit=400)
+            values[row, col] = sign * math.exp(-lam * s) * (re_val + 1j * im_val)
     return CylinderField(theta=theta, mode_numbers=tuple(modes),
                          s_grid=s_grid, mode_values=values)
 

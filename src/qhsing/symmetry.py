@@ -77,9 +77,6 @@ class GroupElement:
     def __pow__(self, k: int) -> "GroupElement":
         return GroupElement(tuple(_mod1(k * t) for t in self.theta))
 
-    def phases_complex(self) -> np.ndarray:
-        return np.array([cmath.exp(2j * cmath.pi * float(t)) for t in self.theta])
-
     def sort_key(self):
         return tuple(self.theta)
 

@@ -78,10 +78,6 @@ class QHPoly:
             if total != 1:
                 raise WeightError(f"monomial {row} has weight {total} != 1")
 
-    @property
-    def n_monomials(self) -> int:
-        return len(self.exponents)
-
     @staticmethod
     def from_monomials(n_vars: int,
                        monomials: Sequence[tuple[Sequence[int], complex]]) -> "QHPoly":

@@ -92,6 +92,17 @@ class TestMorseCommands:
         lam = float(out.split("crossing lambda ")[1].split()[0])
         assert abs(lam - 1.0 / 3.0) < 1e-8
 
+    def test_walls_on_direct_sum(self, capsys):
+        # A wall of the cubic summand aligns two pairs at once
+        # (Thom-Sebastiani): (2b/3) sqrt(-b/3) is real at lam = 1/3.
+        status, out = run(capsys, "walls", "x^3+y^3",
+                          "--path", "3*exp(1j*pi*lam), 2")
+        assert status == 0
+        lines = [ln.split() for ln in out.splitlines() if ln.startswith("crossing")]
+        at_third = {(int(p), int(q)) for _, _, lam, _, p, q in lines
+                    if abs(float(lam) - 1.0 / 3.0) < 1e-8}
+        assert at_third == {(0, 2), (1, 3)}
+
     def test_walls_shifted_path(self, capsys):
         status, out = run(capsys, "walls", "x^4",
                           "--path", "3.1*exp(-1*0.5*1j*pi*(lam+0.1))")
@@ -127,6 +138,13 @@ class TestMorseCommands:
 class TestSolitonCommand:
     def test_count_on_wall(self, capsys):
         status, out = run(capsys, "solitons", "x^3", "--b", "-3",
+                          "--pair", "1", "2")
+        assert status == 0
+        assert "count 1" in out
+
+    def test_pair_numbering_on_real_wall(self, capsys):
+        # Both Im values are 0 up to float noise; "1 2" is the lower Re first.
+        status, out = run(capsys, "solitons", "x^3", "--b=-3.15",
                           "--pair", "1", "2")
         assert status == 0
         assert "count 1" in out

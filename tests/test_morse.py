@@ -49,6 +49,13 @@ class TestFindCriticalPoints:
         ordered = m.ordered_values()
         assert all(a.imag <= b.imag + 1e-12 for a, b in zip(ordered, ordered[1:]))
 
+    def test_ordering_on_real_wall_by_re(self):
+        # x^3 - 3.15x: both Im values are 0 up to float noise (~1e-29);
+        # the tie is broken by Re, lower first.
+        m = find_critical_points(parse_polynomial("x^3"), [-3.15])
+        lo, hi = (m.critical_values[k] for k in m.ordering)
+        assert lo.real < 0 < hi.real
+
 
 class TestStrongRegularity:
     def test_regular_case(self):
@@ -122,6 +129,39 @@ class TestWallDetection:
         assert len(crossings) == 2
         assert abs(crossings[0].lam - 0.25) < 1e-8
         assert abs(crossings[1].lam - 0.75) < 1e-8
+
+    def test_direct_sum_wall_aligns_two_disjoint_pairs(self):
+        # x^3 + y^3 with b = (3 e^{i pi lam}, 2): the cubic summand's wall
+        # at lam = 1/3 aligns (x_1, y) with (x_2, y) for both y at once.
+        W = parse_polynomial("x^3+y^3")
+        crossings = detect_wall_crossings(
+            W, lambda lam: [3.0 * cmath.exp(1j * cmath.pi * lam), 2.0])
+        at_third = [c for c in crossings if abs(c.lam - 1.0 / 3.0) < 1e-8]
+        assert sorted(c.pair for c in at_third) == [(0, 2), (1, 3)]
+        assert [c.lam for c in crossings] == sorted(c.lam for c in crossings)
+
+    def test_quintic_simultaneous_walls(self):
+        # x^5 + b x on b = 4 e^{i pi lam}: the critical values form a
+        # square turning at rate pi * 5/4, so its sides and diagonals are
+        # horizontal at lam = 0.2, 0.4 (two sides), 0.6, 0.8 (two sides).
+        W = parse_polynomial("x^5")
+        crossings = detect_wall_crossings(
+            W, lambda lam: [4.0 * cmath.exp(1j * cmath.pi * lam)])
+        want = [0.2, 0.4, 0.4, 0.6, 0.8, 0.8]
+        assert len(crossings) == len(want)
+        assert all(abs(c.lam - w) < 1e-8 for c, w in zip(crossings, want))
+        for a, b in zip(crossings, crossings[1:]):
+            if abs(a.lam - b.lam) < 1e-8:
+                assert not set(a.pair) & set(b.pair)
+
+    def test_walls_sharing_a_point_refused(self):
+        # Both cubic summands are on a wall at lam = 1/3: all four critical
+        # values share one Im, so the flipped pairs share critical points.
+        W = parse_polynomial("x^3+y^3")
+        with pytest.raises(MorseError, match="non-generic"):
+            detect_wall_crossings(
+                W, lambda lam: [3.0 * cmath.exp(1j * cmath.pi * lam),
+                                2.0 * cmath.exp(1j * cmath.pi * lam)])
 
 
 class TestReport:

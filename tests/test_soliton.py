@@ -1,9 +1,12 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from qhsing.morse import find_critical_points
+from qhsing import soliton
+from qhsing.morse import (detect_wall_crossings, find_critical_points,
+                          perturbed_value)
 from qhsing.soliton import (CylinderField, a1_bounded_spectrum_empty,
                             count_bps_solitons, energy_identity_check,
                             flow_field, fourier_bounded_solution,
@@ -106,6 +109,97 @@ class TestCounting:
             if traj.endpoints[1] is not None and traj.endpoints[1] != 0:
                 captures += 1
         assert captures == 0
+
+
+def quintic_walls():
+    """x^5 + b x on every wall of b = 4 e^{i pi lam}, and at b = -5."""
+    W = parse_polynomial("x^5")
+
+    def path(lam):
+        return [4.0 * cmath.exp(1j * cmath.pi * lam)]
+
+    lams = sorted({round(c.lam, 9) for c in detect_wall_crossings(W, path)})
+    return W, [path(lam) for lam in lams] + [[-5.0]]
+
+
+def aligned_pairs(m):
+    """Every pair with tied Im values, oriented by increasing Re."""
+    vals = m.critical_values
+    return [(p, q) if vals[p].real < vals[q].real else (q, p) for p, q in m.im_ties]
+
+
+def flow_midpoint(W, b, traj, mid_re):
+    """Point of a flow line on Re(W + W0) = mid_re, by bisecting the time
+    of short flows from the last sample below that level."""
+    wre = [perturbed_value(W, b, u).real for u in traj.u]
+    k = int(np.searchsorted(wre, mid_re))
+    lo, hi = 0.0, traj.s[k] - traj.s[k - 1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        u = integrate_flow(W, b, traj.u[k - 1], (0.0, mid)).u[-1]
+        if perturbed_value(W, b, u).real < mid_re:
+            lo = mid
+        else:
+            hi = mid
+    return u
+
+
+class TestPathLift:
+    def test_no_flow_integration(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("integrate_flow called by an N = 1 count")
+
+        monkeypatch.setattr(soliton, "integrate_flow", no_flow)
+        W, m, i, j = cubic_wall_data()
+        assert count_bps_solitons(W, m, i, j) == 1
+        W5, bs = quintic_walls()
+        m5 = find_critical_points(W5, bs[0])
+        assert [count_bps_solitons(W5, m5, p, q) for p, q in aligned_pairs(m5)] == [1]
+
+    def test_quintic_one_soliton_per_aligned_pair(self):
+        # Z-symmetric A_4 model: one soliton between every pair of vacua.
+        W, bs = quintic_walls()
+        assert len(bs) == 5
+        counts = []
+        for b in bs:
+            m = find_critical_points(W, b)
+            pairs = aligned_pairs(m)
+            assert pairs
+            counts += [count_bps_solitons(W, m, p, q) for p, q in pairs]
+        assert counts == [1] * 7
+
+    @pytest.mark.parametrize("text, b", [("x^3", -3.0), ("x^5", -5.0)])
+    def test_flow_is_an_oracle_for_the_lift(self, text, b):
+        W = parse_polynomial(text)
+        m = find_critical_points(W, [b])
+        (i, j), = aligned_pairs(m)
+        kappa = m.critical_points[i][0]
+        lifts = [(start, mid) for start, mid, arrives in soliton._lifts(W, m, i, j)
+                 if arrives]
+        assert len(lifts) == 1
+        start, mid = lifts[0]
+        direction = (start - kappa) / abs(start - kappa)
+        pts = [np.array(p) for p in m.critical_points]
+        traj = integrate_flow(W, m.b, np.array([kappa + 1e-3 * direction]),
+                              (0.0, 60.0), critical_points=pts)
+        assert traj.endpoints == (i, j)
+        mid_re = 0.5 * (m.critical_values[i].real + m.critical_values[j].real)
+        assert abs(flow_midpoint(W, m.b, traj, mid_re)[0] - mid) < 1e-6
+
+    def test_im_gap_inside_wall_tol_counts_one(self):
+        # Rotating b = -3 by phi tilts the cubic pair: Im gap = 4 sin(3 phi / 2).
+        W = parse_polynomial("x^3")
+        m = find_critical_points(W, [-3.0 * cmath.exp(1.7e-9j)])
+        i = min(range(2), key=lambda k: m.critical_values[k].real)
+        gap = abs(m.critical_values[0].imag - m.critical_values[1].imag)
+        assert 5e-9 < gap < 1e-6
+        assert count_bps_solitons(W, m, i, 1 - i) == 1
+
+    def test_uncertified_lift_is_refused(self, monkeypatch):
+        monkeypatch.setattr(soliton, "LIFT_MIN_STEP", 1.0)
+        W, m, i, j = cubic_wall_data()
+        with pytest.raises(ValueError, match="path lift"):
+            count_bps_solitons(W, m, i, j)
 
 
 class TestCylinder:
