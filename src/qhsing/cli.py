@@ -193,10 +193,11 @@ def cmd_solitons(args, out):
     if not args.pair:
         raise DomainError("need --pair <i> <j>")
     i, j = args.pair
-    order = list(m.ordering)
+    if not (1 <= i <= m.mu and 1 <= j <= m.mu):
+        raise DomainError(f"--pair {i} {j}: indices must lie in 1..{m.mu}")
     try:
-        count = soliton.count_bps_solitons(W, m, order[i - 1], order[j - 1],
-                                           seed=args.seed, wall_tol=args.tol)
+        count = soliton.count_bps_solitons(W, m, m.ordering[i - 1], m.ordering[j - 1],
+                                           wall_tol=args.tol)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     out.append(f"count {count}")
@@ -205,11 +206,15 @@ def cmd_solitons(args, out):
 
 def cmd_wallcross(args, out):
     mu = args.mu
+    if mu < 2:
+        raise DomainError(f"--mu {mu}: need mu >= 2")
+    i, j = args.pair or (1, 2)
+    if not (1 <= i < mu and j == i + 1):
+        raise DomainError(f"--pair {i} {j}: need adjacent slots i, i+1 in 1..{mu}")
     coords = [[Fraction(1 if i == k else 0) for i in range(mu)] for k in range(mu)]
     state = lefschetz.ThimbleState.make(
         [[0] * mu for _ in range(mu)], n_gamma=2, cycle_coords=coords)
-    i = (args.pair[0] - 1) if args.pair else 0
-    new = lefschetz.wall_cross(state, i, args.direction, Fraction(args.r))
+    new = lefschetz.wall_cross(state, i - 1, args.direction, Fraction(args.r))
     for v in new.cycle_coords:
         out.append("cycle " + " ".join(_fmt(x) for x in v))
     return 0

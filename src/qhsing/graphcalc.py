@@ -9,6 +9,7 @@ rounding.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -254,13 +255,18 @@ def graph_to_text(graph: DecoratedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_RECORDS = {
+    "vertex": re.compile(r"vertex (-?\d+) genus (-?\d+)"),
+    "edge": re.compile(r"edge (-?\d+) (-?\d+)(?: gamma (-?\d+))?"),
+    "tail": re.compile(r"tail (-?\d+) gamma (-?\d+)"),
+}
+
+
 def graph_from_text(text: str, W: QHPoly | None = None) -> DecoratedGraph:
     """Parse the interchange format produced by graph_to_text."""
     from .wpoly import parse_polynomial
 
-    genera: dict[int, int] = {}
-    edges: list[tuple[int, int, int | None]] = []
-    tails: list[tuple[int, int]] = []
+    records: list[tuple[str, list[int | None], str]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -269,20 +275,32 @@ def graph_from_text(text: str, W: QHPoly | None = None) -> DecoratedGraph:
         if parts[0] == "poly":
             if W is None:
                 W = parse_polynomial(" ".join(parts[1:]))
-        elif parts[0] == "vertex":
-            genera[int(parts[1])] = int(parts[3])
-        elif parts[0] == "edge":
-            gi = int(parts[4]) if len(parts) > 3 and parts[3] == "gamma" else None
-            edges.append((int(parts[1]), int(parts[2]), gi))
-        elif parts[0] == "tail":
-            tails.append((int(parts[1]), int(parts[3])))
-        else:
+            continue
+        if parts[0] not in _RECORDS:
             raise GraphError(f"unknown record {parts[0]!r}")
+        match = _RECORDS[parts[0]].fullmatch(" ".join(parts))
+        if match is None:
+            raise GraphError(f"malformed record {line!r}")
+        records.append((parts[0], [None if f is None else int(f) for f in match.groups()], line))
     if W is None:
         raise GraphError("no polynomial given")
     group = enumerate_group(W)
-    genera_t = tuple(genera[v] for v in sorted(genera))
-    edge_t = tuple(Edge(a, b, group[gi] if gi is not None else None)
-                   for a, b, gi in edges)
-    tail_t = tuple(Tail(v, group[gi]) for v, gi in tails)
-    return DecoratedGraph(W=W, genera=genera_t, edges=edge_t, tails=tail_t)
+
+    def element(gi: int, line: str) -> GroupElement:
+        if not 0 <= gi < len(group):
+            raise GraphError(f"gamma {gi} outside 0..{len(group) - 1} in {line!r}")
+        return group[gi]
+
+    vertices, edges, tails = [], [], []
+    for head, f, line in records:
+        if head == "vertex":
+            vertices.append(f)
+        elif head == "edge":
+            edges.append(Edge(f[0], f[1], None if f[2] is None else element(f[2], line)))
+        else:
+            tails.append(Tail(f[0], element(f[1], line)))
+    ids = sorted(v for v, _ in vertices)
+    if ids != list(range(len(ids))):
+        raise GraphError(f"vertex ids {ids} are not 0..{len(ids) - 1}, each once")
+    return DecoratedGraph(W=W, genera=tuple(g for _, g in sorted(vertices)),
+                          edges=tuple(edges), tails=tuple(tails))

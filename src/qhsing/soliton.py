@@ -5,7 +5,9 @@ imaginary part of (W + W0)(u) is conserved and the real part is
 nondecreasing; both invariants are monitored on every integrated
 trajectory.  Connecting orbits between critical points on a wall are
 counted as path lifts of [alpha_i, alpha_j] through W + W0 in one
-variable, and by shooting from a small sphere around kappa_i for N >= 2.
+variable; on a direct sum a pair that moves in one one-variable summand
+is counted by that summand's lifts (Thom-Sebastiani), and every other
+pair is refused rather than counted.  No count integrates the flow.
 
 The linear asymptotic analysis lives on a half-cylinder: bounded
 solutions of (d_s + i d_theta + Theta) v = f are built mode by mode
@@ -23,7 +25,7 @@ import numpy as np
 from scipy import integrate as sp_integrate
 
 from .wpoly import QHPoly, hessian
-from .morse import MorseData, perturbed_gradient, perturbed_value
+from .morse import SEPARATION, MorseData, perturbed_gradient, perturbed_value
 
 __all__ = [
     "FlowTrajectory",
@@ -41,7 +43,6 @@ __all__ = [
 CAPTURE_RADIUS = 1e-6
 IM_DRIFT_TOL = 1e-8
 RE_MONOTONE_TOL = 1e-10
-CLUSTER_RADIUS = 1e-3
 LIFT_END = 1e-6         # lift ends' offset from alpha_i, alpha_j, in segment lengths
 LIFT_STEP = 1.0 / 16    # largest continuation step in s
 LIFT_MIN_STEP = 1e-12   # step-halving floor; below it the lift is refused
@@ -145,34 +146,21 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
                           energy_integral=energy)
 
 
-def _unstable_directions(W: QHPoly, b, kappa, n_dirs: int, eps: float,
-                         seed: int) -> list[np.ndarray]:
-    """Random departure directions along which Re(W + W0) increases."""
-    rng = np.random.default_rng(seed)
-    n = len(kappa)
-    alpha = perturbed_value(W, b, kappa)
-    dirs = []
-    for _ in range(n_dirs):
-        d = rng.normal(size=n) + 1j * rng.normal(size=n)
-        d /= np.linalg.norm(d)
-        if (perturbed_value(W, b, kappa + eps * d) - alpha).real > 0:
-            dirs.append(d)
-    return dirs
-
-
-def _lifts(W: QHPoly, m: MorseData, i: int, j: int
+def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
            ) -> list[tuple[complex, complex, bool]]:
-    """(start, point at s = 1/2, arrives at kappa_j) for both lifts of [alpha_i, alpha_j].
+    """(start, point at s = 1/2, arrives at k_j) for both lifts of [alpha_i, alpha_j].
 
-    Each lift leaves kappa_i on a root of the quadratic model and follows
-    the root of (W + W0)(x) = alpha_i + s (alpha_j - alpha_i) by an Euler
-    predictor dx/dt = 1/W' and a Newton corrector, halving the step in s
-    when the corrector moves more than a tenth of the step.  It arrives if
-    it ends on a model root at kappa_j; a lift that stalls or ends near
-    kappa_j off the model raises ValueError.
+    W is in one variable and alpha_i, alpha_j are the values of W + b x at
+    its critical points k_i, k_j.  Each lift leaves k_i on a root of the
+    quadratic model and follows the root of (W + b x)(x) = alpha_i +
+    s (alpha_j - alpha_i) by an Euler predictor dx/dt = 1/W' and a Newton
+    corrector, halving the step in s when the corrector moves more than a
+    tenth of the step.  It arrives if it ends on a model root at k_j; a
+    lift that stalls or ends near k_j off the model raises ValueError.
     """
-    b, k_i, k_j = m.b, m.critical_points[i][0], m.critical_points[j][0]
-    a_i, delta = m.critical_values[i], m.critical_values[j] - m.critical_values[i]
+    b = [b]
+    a_i = perturbed_value(W, b, [k_i])
+    delta = perturbed_value(W, b, [k_j]) - a_i
     d_i = np.sqrt(2 * LIFT_END * delta / hessian(W, [k_i])[0, 0])
     d_j = np.sqrt(-2 * LIFT_END * delta / hessian(W, [k_j])[0, 0])
     tol = LIFT_XTOL * abs(d_i)
@@ -208,83 +196,52 @@ def _lifts(W: QHPoly, m: MorseData, i: int, j: int
     return lifts
 
 
-def _lift_count(W: QHPoly, m: MorseData, i: int, j: int) -> int:
-    """Solitons from kappa_i to kappa_j in one variable: lifts that arrive."""
-    return sum(1 for _, _, arrives in _lifts(W, m, i, j) if arrives)
+def _summands(W: QHPoly) -> list[set[int]]:
+    """Variable blocks of W that no monomial mixes (its Thom-Sebastiani summands)."""
+    blocks: list[set[int]] = []
+    for row in W.exponents:
+        block = {v for v, e in enumerate(row) if e}
+        for other in [bl for bl in blocks if bl & block]:
+            blocks.remove(other)
+            block |= other
+        blocks.append(block)
+    return blocks
 
 
 def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
-                       shooting_budget: int | None = None,
-                       s_max: float = 60.0, seed: int = 0,
                        wall_tol: float = 1e-6) -> int:
     """Number of distinct flow lines from critical point i to j.
 
     Requires a wall configuration (equal imaginary values, Re alpha_i <
-    Re alpha_j).  W + W0 moves on a horizontal ray along the flow, so for
-    N = 1 the count is that of the two lifts of [alpha_i, alpha_j] from
-    kappa_i that arrive at kappa_j.  For N >= 2 shots depart from a sphere
-    of radius 1e-3 around kappa_i in the increasing-Re cone; captured
-    orbits are de-duplicated by their point on the Re(W+W0) midlevel.
+    Re alpha_j).  W + W0 moves on a horizontal ray along the flow, so in
+    one variable the count is that of the two lifts of [alpha_i, alpha_j]
+    from kappa_i that arrive at kappa_j.  On a direct sum the flow
+    decouples (Thom-Sebastiani): a pair that moves in one one-variable
+    summand has that summand's lift count.  Every other pair (two moving
+    summands, or a moving summand in several variables) has no certified
+    count and raises ValueError.
     """
     if i == j:
         return 0
-    pts = [np.array(p) for p in m.critical_points]
     a_i, a_j = m.critical_values[i], m.critical_values[j]
     scale = max(1.0, max(abs(v) for v in m.critical_values))
     if abs(a_i.imag - a_j.imag) > wall_tol * scale:
         raise ValueError("not a wall configuration: imaginary values differ")
     if not a_i.real < a_j.real:
         raise ValueError("need Re alpha_i < Re alpha_j")
-    n = W.n_vars
-    if n == 1:
-        return _lift_count(W, m, i, j)
-    if shooting_budget is None:
-        shooting_budget = 64 * n
-    eps = 1e-3
-    mid_re = 0.5 * (a_i.real + a_j.real)
-
-    def shoot(u0):
-        """Midpoint signature of a start captured at j, else None."""
-        traj = integrate_flow(W, m.b, u0, (0.0, s_max), critical_points=pts)
-        if not traj.escaped and traj.endpoints[1] == j:
-            # Fix the translation freedom at the Re(W+W0) midlevel,
-            # interpolating between samples: Re is monotone along the flow.
-            wre = np.array([perturbed_value(W, m.b, u).real for u in traj.u])
-            kmid = int(np.searchsorted(wre, mid_re))
-            kmid = min(max(kmid, 1), len(traj.u) - 1)
-            span = wre[kmid] - wre[kmid - 1]
-            t = (mid_re - wre[kmid - 1]) / span if span > 0 else 0.0
-            return traj.u[kmid - 1] + t * (traj.u[kmid] - traj.u[kmid - 1])
-        return None
-
-    def cluster_count(signatures):
-        clusters: list[list[np.ndarray]] = []
-        for sig in signatures:
-            for cl in clusters:
-                if np.linalg.norm(sig - cl[0]) < CLUSTER_RADIUS:
-                    cl.append(sig)
-                    break
-            else:
-                clusters.append([sig])
-        ambiguous = False
-        for p in range(len(clusters)):
-            for q in range(p + 1, len(clusters)):
-                gap = np.linalg.norm(clusters[p][0] - clusters[q][0])
-                if CLUSTER_RADIUS <= gap < 2 * CLUSTER_RADIUS:
-                    ambiguous = True
-        return len(clusters), ambiguous
-
-    n_dirs = shooting_budget
-    while True:
-        dirs = _unstable_directions(W, m.b, pts[i], n_dirs, eps, seed)
-        signatures = [sig for sig in (shoot(pts[i] + eps * d) for d in dirs)
-                      if sig is not None]
-        count, ambiguous = cluster_count(signatures)
-        if not ambiguous:
-            return count
-        n_dirs *= 2
-        if n_dirs > 8 * shooting_budget:
-            raise RuntimeError("shooting budget exhausted with ambiguous clusters")
+    k_i, k_j = m.critical_points[i], m.critical_points[j]
+    moving = [bl for bl in _summands(W)
+              if max(abs(k_i[v] - k_j[v]) for v in bl) > SEPARATION]
+    if len(moving) != 1:
+        raise ValueError(f"no certified count: the pair moves in {len(moving)} summands "
+                         "of W, and only a pair moving in one summand is counted")
+    if len(moving[0]) > 1:
+        raise ValueError(f"no certified count: the pair moves in a summand of "
+                         f"{len(moving[0])} variables, and only one-variable summands are counted")
+    v, = moving[0]
+    W_v = QHPoly.from_monomials(1, [((row[v],), c) for row, c in zip(W.exponents, W.coeffs)
+                                    if row[v]])
+    return int(sum(arrives for _, _, arrives in _lifts(W_v, m.b[v], k_i[v], k_j[v])))
 
 
 def energy_identity_check(W: QHPoly, b, traj: FlowTrajectory,

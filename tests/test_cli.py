@@ -63,6 +63,13 @@ class TestGraph:
         assert "cycle_degree 0" in out
         assert "admissible true" in out
 
+    def test_malformed_graph_file_is_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_text("poly x^3\nvertex 0\n")
+        status, out = run(capsys, "graph", "--graph", str(path))
+        assert status == 2
+        assert out.startswith("error ") and "vertex 0" in out
+
     def test_missing_graph_flag(self, capsys):
         status, out = run(capsys, "graph", "x^3")
         assert status == 2
@@ -154,6 +161,29 @@ class TestSolitonCommand:
                         "--pair", "1", "2")
         assert status == 2
 
+    def test_direct_sum_one_summand_pair(self, capsys):
+        status, out = run(capsys, "solitons", "x^3+y^3", "--b=-3,-0.3",
+                          "--pair", "1", "3")
+        assert status == 0
+        assert "count 1" in out
+
+    def test_direct_sum_two_summand_pair_refused(self, capsys):
+        status, out = run(capsys, "solitons", "x^3+y^3", "--b=-3,-0.3",
+                          "--pair", "1", "4")
+        assert status == 2
+        assert out.startswith("error ")
+
+    @pytest.mark.parametrize("polynomial, b, pair", [
+        ("x^3", "-3", ("1", "3")),
+        # The mu = 3 quartic wall at b = 4 exp(i pi/8).
+        ("x^4", "3.695518130045147+1.530733729460359i", ("0", "2")),
+        ("x^4", "3.695518130045147+1.530733729460359i", ("0", "3")),
+    ])
+    def test_pair_outside_one_to_mu_refused(self, capsys, polynomial, b, pair):
+        status, out = run(capsys, "solitons", polynomial, f"--b={b}", "--pair", *pair)
+        assert status == 2
+        assert out.startswith(f"error --pair {pair[0]} {pair[1]}")
+
 
 class TestWallcrossCommand:
     def test_unit_vectors(self, capsys):
@@ -162,6 +192,17 @@ class TestWallcrossCommand:
         assert status == 0
         lines = [l for l in out.splitlines() if l.startswith("cycle ")]
         assert lines == ["cycle 1 1", "cycle 1 0"]
+
+    @pytest.mark.parametrize("argv, value", [
+        (["--mu", "0"], "--mu 0"),
+        (["--mu", "1"], "--mu 1"),
+        (["--mu", "3", "--pair", "3", "4"], "--pair 3 4"),
+        (["--pair", "0", "1"], "--pair 0 1"),
+    ])
+    def test_out_of_range_refused(self, capsys, argv, value):
+        status, out = run(capsys, "wallcross", *argv)
+        assert status == 2
+        assert out.startswith(f"error {value}")
 
 
 class TestOutputFile:

@@ -283,3 +283,38 @@ tail 0 gamma 2
     def test_unknown_record_rejected(self):
         with pytest.raises(GraphError):
             graph_from_text("poly x^3\nwidget 1 2\n")
+
+    @pytest.mark.parametrize("record", [
+        "vertex 0", "vertex 0 genus", "vertex 0 genus 0 1", "vertex zero genus 0",
+        "tail 0", "tail 0 gamma", "edge 0", "edge 0 0 gamma",
+    ])
+    def test_missing_field_names_the_line(self, record):
+        text = f"poly x^3\nvertex 0 genus 1\n{record}\n"
+        with pytest.raises(GraphError, match=record):
+            graph_from_text(text)
+
+    @pytest.mark.parametrize("gamma", ["3", "9", "-1"])
+    def test_gamma_outside_the_group(self, gamma):
+        # |G| = 3 for x^3: the indices are 0, 1, 2.
+        text = ("poly x^3\nvertex 0 genus 0\ntail 0 gamma 1\ntail 0 gamma 1\n"
+                f"tail 0 gamma {gamma}\n")
+        with pytest.raises(GraphError, match=f"tail 0 gamma {gamma}"):
+            graph_from_text(text)
+
+    def test_edge_gamma_outside_the_group(self):
+        with pytest.raises(GraphError, match="edge 0 0 gamma 5"):
+            graph_from_text("poly x^3\nvertex 0 genus 0\nedge 0 0 gamma 5\n")
+
+    @pytest.mark.parametrize("vertices", [
+        "vertex 1 genus 1",
+        "vertex 0 genus 1\nvertex 0 genus 1",
+        "vertex 0 genus 1\nvertex 2 genus 1",
+        "vertex -1 genus 1\nvertex 0 genus 1",
+    ])
+    def test_vertex_ids_must_be_zero_to_n_minus_one(self, vertices):
+        with pytest.raises(GraphError, match="vertex ids"):
+            graph_from_text(f"poly x^3\n{vertices}\n")
+
+    def test_vertices_in_any_order(self):
+        graph = graph_from_text("poly x^3\nvertex 1 genus 2\nvertex 0 genus 1\nedge 0 1\n")
+        assert graph.genera == (1, 2)

@@ -174,7 +174,7 @@ class TestPathLift:
         m = find_critical_points(W, [b])
         (i, j), = aligned_pairs(m)
         kappa = m.critical_points[i][0]
-        lifts = [(start, mid) for start, mid, arrives in soliton._lifts(W, m, i, j)
+        lifts = [(start, mid) for start, mid, arrives in soliton._lifts(W, b, kappa, m.critical_points[j][0])
                  if arrives]
         assert len(lifts) == 1
         start, mid = lifts[0]
@@ -200,6 +200,73 @@ class TestPathLift:
         W, m, i, j = cubic_wall_data()
         with pytest.raises(ValueError, match="path lift"):
             count_bps_solitons(W, m, i, j)
+
+
+def moved_coordinates(m, p, q):
+    """Coordinates in which critical points p and q differ."""
+    return [v for v, (a, c) in enumerate(zip(m.critical_points[p], m.critical_points[q]))
+            if abs(a - c) > 1e-6]
+
+
+def cubic_sum_data():
+    """x^3 + y^3 at b = (-3, -0.3): all four critical values are real."""
+    W = parse_polynomial("x^3+y^3")
+    m = find_critical_points(W, [-3.0, -0.3])
+    pairs = aligned_pairs(m)
+    assert len(pairs) == 6
+    return W, m, pairs
+
+
+class TestDirectSum:
+    def test_one_summand_pairs_count_one(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("integrate_flow called by a count")
+
+        monkeypatch.setattr(soliton, "integrate_flow", no_flow)
+        W, m, pairs = cubic_sum_data()
+        counts = [count_bps_solitons(W, m, p, q) for p, q in pairs
+                  if len(moved_coordinates(m, p, q)) == 1]
+        assert counts == [1] * 4
+        assert all(type(c) is int for c in counts)
+
+    def test_flow_is_an_oracle_for_the_x_lift(self):
+        W, m, pairs = cubic_sum_data()
+        pts = [np.array(p) for p in m.critical_points]
+        x_pairs = [(p, q) for p, q in pairs if moved_coordinates(m, p, q) == [0]]
+        assert len(x_pairs) == 2
+        for i, j in x_pairs:
+            kappa = m.critical_points[i][0]
+            (start,) = [start for start, _, arrives in soliton._lifts(
+                parse_polynomial("x^3"), m.b[0], kappa, m.critical_points[j][0]) if arrives]
+            u0 = pts[i] + 1e-3 * np.array([(start - kappa) / abs(start - kappa), 0])
+            traj = integrate_flow(W, m.b, u0, (0.0, 60.0), critical_points=pts)
+            assert traj.endpoints == (i, j)
+            assert energy_identity_check(W, m.b, traj) < 1e-6
+
+    def test_summand_beside_a_mixed_block(self):
+        W = parse_polynomial("x^3+x*y^2+z^3")
+        m = find_critical_points(W, [1 + 1j, 0.7 - 0.2j, -3.0])
+        pairs = aligned_pairs(m)
+        assert len(pairs) == 4
+        assert all(moved_coordinates(m, p, q) == [2] for p, q in pairs)
+        assert [count_bps_solitons(W, m, p, q) for p, q in pairs] == [1] * 4
+
+    def test_two_moving_summands_refused(self):
+        W, m, pairs = cubic_sum_data()
+        both = [(p, q) for p, q in pairs if len(moved_coordinates(m, p, q)) == 2]
+        assert len(both) == 2
+        for p, q in both:
+            with pytest.raises(ValueError, match="2 summands"):
+                count_bps_solitons(W, m, p, q)
+
+    def test_irreducible_two_variable_pairs_refused(self):
+        W = parse_polynomial("x^3+x*y^2")
+        m = find_critical_points(W, [-3.0, 0.5])
+        pairs = aligned_pairs(m)
+        assert len(pairs) == 6
+        for p, q in pairs:
+            with pytest.raises(ValueError, match="2 variables"):
+                count_bps_solitons(W, m, p, q)
 
 
 class TestCylinder:
