@@ -140,8 +140,14 @@ def cmd_sectors(args, out):
 def cmd_graph(args, out):
     if not args.graph:
         raise DomainError("graph command needs --graph <path>")
-    with open(args.graph) as fh:
-        graph = graphcalc.graph_from_text(fh.read())
+    try:
+        with open(args.graph) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise DomainError(f"--graph {args.graph}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"--graph {args.graph}: not {exc.encoding} text") from exc
+    graph = graphcalc.graph_from_text(text)
     vd = graphcalc.virtual_degree(graph)
     degs, adm = graphcalc.line_bundle_degrees(
         graph.W, graph.total_genus, [t.gamma for t in graph.tails])

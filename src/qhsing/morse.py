@@ -26,9 +26,12 @@ __all__ = [
     "WallCrossing",
 ]
 
-GRAD_TOL = 1e-10        # Newton residual bound certifying a critical point
-HESS_MIN_SV = 1e-8      # nondegeneracy floor for the Hessian
-SEPARATION = 1e-6       # minimal distance between distinct roots
+GRAD_TOL = 1e-10          # Newton residual bound certifying a critical point
+HESS_MIN_SV = 1e-8        # nondegeneracy floor for the Hessian
+SEPARATION = 1e-6         # minimal distance between distinct roots
+NEWTON_STARTS = 200       # random multistart budget of find_critical_points
+WALL_STEPS = 200          # continuation grid on the path parameter [0, 1]
+WALL_REFINE_TOL = 1e-14   # bisection width at which a crossing is reported
 
 
 class MorseError(RuntimeError):
@@ -91,8 +94,7 @@ def _canonical_sort(points: list[np.ndarray]) -> list[np.ndarray]:
                   key=lambda p: tuple(x for c in p for x in (round(c.real, 9), round(c.imag, 9))))
 
 
-def find_critical_points(W: QHPoly, b: Sequence[complex],
-                         extra_starts: int = 200, seed: int = 0) -> MorseData:
+def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> MorseData:
     """All critical points of W + sum b_i x_i, certified by count.
 
     Multistart Newton with starts on concentric spheres scaled by the
@@ -101,6 +103,8 @@ def find_critical_points(W: QHPoly, b: Sequence[complex],
     """
     b = tuple(complex(v) for v in b)
     n = W.n_vars
+    if len(b) != n:
+        raise ValueError(f"len(b) = {len(b)} does not match n_vars = {n}")
     mu = milnor_number(W)
     if all(v == 0 for v in b) and mu > 0:
         raise MorseError("not W-regular: unperturbed W has a degenerate critical point at 0")
@@ -122,7 +126,7 @@ def find_critical_points(W: QHPoly, b: Sequence[complex],
                 return
         roots.append(u)
 
-    budget = extra_starts
+    budget = NEWTON_STARTS
     for radius in itertools.cycle(radii):
         if len(roots) >= mu or budget <= 0:
             break
@@ -206,7 +210,6 @@ class WallCrossing:
 
 
 def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
-                          steps: int = 200, refine_tol: float = 1e-14,
                           seed: int = 0) -> list[WallCrossing]:
     """Imaginary-value coincidences along a perturbation path on [0, 1].
 
@@ -243,8 +246,8 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
     crossings: list[WallCrossing] = []
     lam_prev = 0.0
     gaps_prev = im_gaps(points, 0.0)
-    for k in range(1, steps + 1):
-        lam = k / steps
+    for k in range(1, WALL_STEPS + 1):
+        lam = k / WALL_STEPS
         points_new = advance(points, lam_prev, lam)
         gaps = im_gaps(points_new, lam)
         # A gap that lands exactly on 0 at a grid point counts here, once;
@@ -259,10 +262,9 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
             lo, hi = lam_prev, lam
             pts_lo = points
             g_lo = gaps_prev[pair]
-            # Refine essentially to machine precision: downstream soliton
-            # shooting needs the imaginary gap at the crossing to be tiny,
-            # or connecting orbits skirt the capture sphere and escape.
-            while hi - lo > refine_tol:
+            # Refine essentially to machine precision: `walls` prints
+            # lambda to 12 significant digits.
+            while hi - lo > WALL_REFINE_TOL:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):
                     break
@@ -273,7 +275,7 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
                 else:
                     lo, pts_lo, g_lo = mid, pts_mid, g_mid
             lam_star = 0.5 * (lo + hi)
-            if refine_tol < lam_star < 1.0 - refine_tol:
+            if WALL_REFINE_TOL < lam_star < 1.0 - WALL_REFINE_TOL:
                 crossings.append(WallCrossing(lam=lam_star, pair=pair))
         points, gaps_prev, lam_prev = points_new, gaps, lam
     return sorted(crossings, key=lambda c: c.lam)

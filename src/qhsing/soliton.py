@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 CAPTURE_RADIUS = 1e-6
+FLOW_RTOL = 1e-10       # solve_ivp relative tolerance of integrate_flow
+FLOW_ATOL = 1e-10       # solve_ivp absolute tolerance of integrate_flow
 IM_DRIFT_TOL = 1e-8
 RE_MONOTONE_TOL = 1e-10
 LIFT_END = 1e-6         # lift ends' offset from alpha_i, alpha_j, in segment lengths
@@ -78,9 +80,7 @@ def _classify_endpoint(u, critical_points, radius=CAPTURE_RADIUS * 10) -> int | 
 
 
 def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
-                   critical_points: Sequence[np.ndarray] = (),
-                   rtol: float = 1e-10, atol: float = 1e-10,
-                   max_step: float = np.inf) -> FlowTrajectory:
+                   critical_points: Sequence[np.ndarray] = ()) -> FlowTrajectory:
     """Adaptive embedded Runge-Kutta integration of the BPS flow.
 
     Terminates early on arrival within the capture radius of a supplied
@@ -119,8 +119,8 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
 
     y0 = np.concatenate([u0, [0j]])
     sol = sp_integrate.solve_ivp(rhs, s_span, y0, method="RK45",
-                                 rtol=rtol, atol=atol, events=events,
-                                 max_step=max_step, dense_output=False)
+                                 rtol=FLOW_RTOL, atol=FLOW_ATOL, events=events,
+                                 dense_output=False)
     if not sol.success and sol.status != 1:
         raise RuntimeError(f"integration failed: {sol.message}")
     samples = sol.y[:-1].T

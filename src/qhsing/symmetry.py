@@ -3,13 +3,14 @@
 A group element gamma acts on coordinate i by exp(2*pi*1j*Theta_i) with
 rational phases Theta_i in [0, 1).  Membership in the symmetry group of
 W means every monomial phase sum B.Theta is an integer.  The full group
-is enumerated by integer-lattice methods (Smith normal form of the
-exponent matrix); all phase arithmetic is exact.
+is enumerated from the exact inverse of a square block of the exponent
+matrix; all phase arithmetic is exact.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,13 +18,13 @@ from functools import reduce
 
 import numpy as np
 
+from .exact import det, inverse
 from .wpoly import QHPoly, WeightError
 
 __all__ = [
     "GroupElement",
     "Sector",
     "Involution",
-    "smith_normal_form",
     "enumerate_group",
     "exponential_grading",
     "is_member",
@@ -93,105 +94,6 @@ class Sector:
     is_ramond: bool
 
 
-def smith_normal_form(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smith normal form over the integers.
-
-    Returns (U, S, V) with U A V = S, U and V unimodular, S diagonal
-    with s_1 | s_2 | ... .  Plain integer row/column reduction; fine for
-    the small exponent matrices that occur here.
-    """
-    A = np.array(A, dtype=object)
-    m, n = A.shape
-    U = np.eye(m, dtype=object)
-    V = np.eye(n, dtype=object)
-    S = A.copy()
-
-    def min_nonzero(k):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if S[i, j] != 0 and (best is None or abs(S[i, j]) < abs(S[best[0], best[1]])):
-                    best = (i, j)
-        return best
-
-    k = 0
-    while k < min(m, n):
-        pos = min_nonzero(k)
-        if pos is None:
-            break
-        i0, j0 = pos
-        S[[k, i0], :] = S[[i0, k], :]
-        U[[k, i0], :] = U[[i0, k], :]
-        S[:, [k, j0]] = S[:, [j0, k]]
-        V[:, [k, j0]] = V[:, [j0, k]]
-        done = False
-        while not done:
-            done = True
-            for i in range(k + 1, m):
-                if S[i, k] != 0:
-                    q = S[i, k] // S[k, k]
-                    S[i, :] -= q * S[k, :]
-                    U[i, :] -= q * U[k, :]
-                    if S[i, k] != 0:
-                        S[[k, i], :] = S[[i, k], :]
-                        U[[k, i], :] = U[[i, k], :]
-                        done = False
-            for j in range(k + 1, n):
-                if S[k, j] != 0:
-                    q = S[k, j] // S[k, k]
-                    S[:, j] -= q * S[:, k]
-                    V[:, j] -= q * V[:, k]
-                    if S[k, j] != 0:
-                        S[:, [k, j]] = S[:, [j, k]]
-                        V[:, [k, j]] = V[:, [j, k]]
-                        done = False
-        k += 1
-    # Enforce positive diagonal and divisibility chain.
-    for i in range(min(m, n)):
-        if S[i, i] < 0:
-            S[i, :] = -S[i, :]
-            U[i, :] = -U[i, :]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(m, n) - 1):
-            a, b = S[i, i], S[i + 1, i + 1]
-            if a != 0 and b != 0 and b % a != 0:
-                # Standard 2x2 fix-up: replace (a, b) by (gcd, lcm).
-                g = math.gcd(int(a), int(b))
-                # Column op brings b into column i, then re-reduce the block.
-                S[:, i] += S[:, i + 1]
-                V[:, i] += V[:, i + 1]
-                sub_done = False
-                while not sub_done:
-                    sub_done = True
-                    if S[i + 1, i] != 0:
-                        q = S[i + 1, i] // S[i, i] if S[i, i] != 0 else 0
-                        S[i + 1, :] -= q * S[i, :]
-                        U[i + 1, :] -= q * U[i, :]
-                        if S[i + 1, i] != 0:
-                            S[[i, i + 1], :] = S[[i + 1, i], :]
-                            U[[i, i + 1], :] = U[[i + 1, i], :]
-                            sub_done = False
-                    if S[i, i + 1] != 0:
-                        q = S[i, i + 1] // S[i, i] if S[i, i] != 0 else 0
-                        S[:, i + 1] -= q * S[:, i]
-                        V[:, i + 1] -= q * V[:, i]
-                        if S[i, i + 1] != 0:
-                            S[:, [i, i + 1]] = S[:, [i + 1, i]]
-                            V[:, [i, i + 1]] = V[:, [i + 1, i]]
-                            sub_done = False
-                if S[i, i] < 0:
-                    S[i, :] = -S[i, :]
-                    U[i, :] = -U[i, :]
-                if S[i + 1, i + 1] < 0:
-                    S[i + 1, :] = -S[i + 1, :]
-                    U[i + 1, :] = -U[i + 1, :]
-                assert S[i, i] == g and S[i, i + 1] == 0 and S[i + 1, i] == 0
-                changed = True
-    return U, S, V
-
-
 def is_member(W: QHPoly, gamma: GroupElement) -> bool:
     """True iff every monomial phase sum B.Theta is an integer."""
     if gamma.n_vars != W.n_vars:
@@ -206,39 +108,29 @@ def is_member(W: QHPoly, gamma: GroupElement) -> bool:
 def enumerate_group(W: QHPoly) -> tuple[GroupElement, ...]:
     """The full diagonal symmetry group of W, canonically sorted.
 
-    Solves B.Theta = 0 mod 1 via the Smith normal form of the exponent
-    matrix: with U B V = S the solutions are Theta = V y where each
-    y_i runs over multiples of 1/S_ii.  Finiteness requires rank N.
+    Any n exponent rows B_n with det B_n != 0 confine the solutions of
+    B.Theta = 0 mod 1 to B_n^-1 Z^n mod 1, a group of order |det B_n|
+    generated by the columns of B_n^-1.  The rows with the least nonzero
+    |det| give the fewest candidates; those that also satisfy the
+    remaining rows form the group.  Finiteness requires rank N.
     """
-    B = [list(r) for r in W.exponents]
     n = W.n_vars
-    U, S, V = smith_normal_form(B)
-    diag = [int(S[i, i]) for i in range(min(len(B), n))]
-    if len(diag) < n or any(d == 0 for d in diag):
+    candidates = [(abs(int(det(rows))), rows) for rows in itertools.combinations(W.exponents, n)]
+    D, B_n = min((c for c in candidates if c[0]), default=(0, None))
+    if not D:
         raise WeightError("exponent matrix is rank-deficient; symmetry group is infinite")
-    elements = set()
-    # y_i = k_i / diag[i]; Theta = V y mod 1.
-    counters = [0] * n
-    total = 1
-    for d in diag:
-        total *= d
-    for idx in range(total):
-        rem = idx
-        for i in range(n):
-            counters[i] = rem % diag[i]
-            rem //= diag[i]
-        theta = []
-        for row in range(n):
-            t = Fraction(0)
-            for i in range(n):
-                t += Fraction(int(V[row, i]) * counters[i], diag[i])
-            theta.append(_mod1(t))
-        elements.add(tuple(theta))
-    group = tuple(sorted((GroupElement(t) for t in elements), key=GroupElement.sort_key))
-    for g in group:
-        assert is_member(W, g)
-    assert len(group) == total
-    return group
+    # D * B_n^-1 is an integer matrix, so phases are held as integers mod D.
+    gens = [tuple(int(D * t) % D for t in col) for col in zip(*inverse(B_n))]
+    lattice, frontier = set(), [(0,) * n]
+    while frontier:
+        v = frontier.pop()
+        if v not in lattice:
+            lattice.add(v)
+            frontier += [tuple((a + b) % D for a, b in zip(v, g)) for g in gens]
+    if len(lattice) != D:
+        raise RuntimeError(f"lattice closure holds {len(lattice)} phase vectors, not |det| = {D}")
+    elements = (GroupElement(tuple(Fraction(k, D) for k in v)) for v in lattice)
+    return tuple(sorted((g for g in elements if is_member(W, g)), key=GroupElement.sort_key))
 
 
 def exponential_grading(W: QHPoly) -> GroupElement:

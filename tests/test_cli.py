@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -70,6 +71,14 @@ class TestGraph:
         assert status == 2
         assert out.startswith("error ") and "vertex 0" in out
 
+    def test_unreadable_graph_file_is_domain_error(self, capsys, tmp_path):
+        binary = tmp_path / "binary.graph"
+        binary.write_bytes(b"\xff\xfe\x00poly")
+        for path in (tmp_path / "missing.graph", tmp_path, binary):
+            status, out = run(capsys, "graph", "--graph", str(path))
+            assert status == 2
+            assert out.startswith("error ") and str(path) in out
+
     def test_missing_graph_flag(self, capsys):
         status, out = run(capsys, "graph", "x^3")
         assert status == 2
@@ -90,6 +99,17 @@ class TestMorseCommands:
         status, out = run(capsys, "perturb", "x^3", "--b", "0")
         assert status == 2
         assert "error" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("perturb", "x^3+y^3", "--b=1"),
+        ("perturb", "x^3", "--b=1,2"),
+        ("walls", "x^3+y^3", "--path", "3*exp(1j*pi*lam)"),
+        ("solitons", "x^3+y^3", "--b=-3", "--pair", "1", "2"),
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_b_of_wrong_length_is_domain_error(self, capsys, argv):
+        status, out = run(capsys, *argv)
+        assert status == 2
+        assert out.startswith("error len(b) = ") and "n_vars = " in out
 
     def test_walls(self, capsys):
         status, out = run(capsys, "walls", "x^3",
@@ -228,3 +248,11 @@ def test_no_eval_or_exec_in_package():
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 assert name not in ("eval", "exec"), f"{path.name}:{node.lineno}"
+
+
+def test_every_exported_name_resolves():
+    for path in pathlib.Path(qhsing.__file__).parent.glob("*.py"):
+        name = "qhsing" if path.stem == "__init__" else f"qhsing.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"{name}.__all__ names {missing}"

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from qhsing import morse
 from qhsing.morse import (MorseError, detect_wall_crossings,
                           find_critical_points, is_strongly_regular,
                           morse_report, perturbed_gradient)
@@ -38,6 +39,16 @@ class TestFindCriticalPoints:
         for u in m.critical_points:
             assert np.linalg.norm(perturbed_gradient(W, b, u)) < 1e-9
         assert all(sv > 1e-8 for sv in m.hessian_min_singular_value)
+
+    @pytest.mark.parametrize("text, b", [("x^3+y^3", [1.0]), ("x^3", [1.0, 2.0])])
+    def test_wrong_length_b_rejected(self, monkeypatch, text, b):
+        # Refused before any Newton step, naming both lengths.
+        def no_newton(*args, **kwargs):
+            raise AssertionError("Newton ran on a b of the wrong length")
+        monkeypatch.setattr(morse, "_newton", no_newton)
+        W = parse_polynomial(text)
+        with pytest.raises(ValueError, match=rf"len\(b\) = {len(b)} .* n_vars = {W.n_vars}"):
+            find_critical_points(W, b)
 
     def test_zero_perturbation_rejected(self):
         with pytest.raises(MorseError):

@@ -10,7 +10,7 @@ from qhsing.symmetry import (GroupElement, central_charge, direct_sum,
                              enumerate_group, exponential_grading,
                              gluing_involution, is_member,
                              restricted_polynomial, sector_data,
-                             sector_table, smith_normal_form)
+                             sector_table)
 from qhsing.wpoly import parse_polynomial, value
 
 CORPUS = ["x^3", "x^4", "x^3+x*y^2", "x^4+x*y^2", "x^3+y^3", "x^3+x*y^3"]
@@ -50,35 +50,6 @@ class TestGroupElement:
         assert GroupElement.from_phases([F(7, 3)]).theta == (F(1, 3),)
 
 
-class TestSmithNormalForm:
-    @pytest.mark.parametrize("A", [
-        [[3, 0], [1, 2]],
-        [[3]],
-        [[2, 4, 4], [-6, 6, 12], [10, 4, 16]],
-        [[1, 0], [0, 1]],
-        [[0, 0], [0, 0]],
-        [[6, 0], [0, 4]],
-    ])
-    def test_decomposition(self, A):
-        U, S, V = smith_normal_form(A)
-        A = np.array(A, dtype=object)
-        assert (U @ A @ V == S).all()
-        # Unimodular transforms.
-        assert abs(round(float(np.linalg.det(U.astype(float))))) == 1
-        assert abs(round(float(np.linalg.det(V.astype(float))))) == 1
-        # Diagonal with divisibility chain.
-        m, n = S.shape
-        for i in range(m):
-            for j in range(n):
-                if i != j:
-                    assert S[i, j] == 0
-        diag = [int(S[i, i]) for i in range(min(m, n))]
-        assert all(d >= 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            if a != 0 and b != 0:
-                assert b % a == 0
-
-
 class TestEnumerate:
     def test_cubic(self):
         group = enumerate_group(parse_polynomial("x^3"))
@@ -108,7 +79,14 @@ class TestEnumerate:
                 assert (a * b).theta in elems
         assert GroupElement(tuple(F(0) for _ in group[0].theta)).theta in elems
 
-    @pytest.mark.parametrize("text", CORPUS)
+    @pytest.mark.parametrize("text", CORPUS + [
+        # More monomials than variables: the remaining rows are tested.
+        "x^3+y^3+z^3+x*y*z", "x^4+y^4+x^2*y^2",
+        # The least-|det| rows admit 10 phase vectors; the third row keeps 5.
+        "x^5+y^5+x^3*y^2",
+        # Three-variable chain and loop: non-Fermat generators.
+        "x^2*y+y^3*z+z^4", "x^2*y+y^2*z+z^2*x",
+    ])
     def test_brute_force_agreement(self, text):
         # Independent oracle: scan all phase vectors with denominator
         # dividing the group exponent.
