@@ -6,7 +6,7 @@ Modules:
   graphcalc - decorated dual graphs, selection rules, index formulas
   morse     - linear Morse perturbations, chambers, wall detection
   lefschetz - thimble bases, monodromy/braid moves, wall crossing
-  exact     - Fraction linear algebra: solve, inverse, determinant
+  exact     - Fraction linear algebra: solve, inverse, determinant, rank
   soliton   - BPS flow, soliton counting, cylinder Fourier layer
   cli       - command-line surface
 """

@@ -1,6 +1,6 @@
-"""Exact linear algebra over Fraction: solve, inverse and determinant.
+"""Exact linear algebra over Fraction: solve, inverse, determinant and rank.
 
-All three rest on one Gauss-Jordan elimination, so every exact matrix
+All four rest on one Gauss-Jordan elimination, so every exact matrix
 computation in the package shares a single pivoting rule.
 """
 
@@ -69,3 +69,8 @@ def det(A) -> Fraction:
     n = len(A)
     rank, factor = _gauss_jordan([[Fraction(v) for v in row] for row in A], n)
     return factor if rank == n else Fraction(0)
+
+
+def rank(A) -> int:
+    """Rank of a matrix with at least one row."""
+    return _gauss_jordan([[Fraction(v) for v in row] for row in A], len(A[0]))[0]

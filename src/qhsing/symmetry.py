@@ -10,7 +10,6 @@ matrix; all phase arithmetic is exact.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +17,7 @@ from functools import reduce
 
 import numpy as np
 
-from .exact import det, inverse
+from .exact import det, inverse, rank
 from .wpoly import QHPoly, WeightError
 
 __all__ = [
@@ -36,10 +35,6 @@ __all__ = [
 ]
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - math.floor(x)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A diagonal symmetry, stored as exact phase fractions in [0, 1)."""
@@ -53,7 +48,7 @@ class GroupElement:
 
     @staticmethod
     def from_phases(phases) -> "GroupElement":
-        return GroupElement(tuple(_mod1(Fraction(p)) for p in phases))
+        return GroupElement(tuple(Fraction(p) % 1 for p in phases))
 
     @property
     def n_vars(self) -> int:
@@ -70,16 +65,13 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if len(self.theta) != len(other.theta):
             raise ValueError("group elements live on different variable sets")
-        return GroupElement(tuple(_mod1(a + b) for a, b in zip(self.theta, other.theta)))
+        return GroupElement(tuple((a + b) % 1 for a, b in zip(self.theta, other.theta)))
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(tuple(_mod1(-t) for t in self.theta))
+        return GroupElement(tuple(-t % 1 for t in self.theta))
 
     def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(tuple(_mod1(k * t) for t in self.theta))
-
-    def sort_key(self):
-        return tuple(self.theta)
+        return GroupElement(tuple(k * t % 1 for t in self.theta))
 
 
 @dataclass(frozen=True)
@@ -108,17 +100,20 @@ def is_member(W: QHPoly, gamma: GroupElement) -> bool:
 def enumerate_group(W: QHPoly) -> tuple[GroupElement, ...]:
     """The full diagonal symmetry group of W, canonically sorted.
 
-    Any n exponent rows B_n with det B_n != 0 confine the solutions of
-    B.Theta = 0 mod 1 to B_n^-1 Z^n mod 1, a group of order |det B_n|
-    generated by the columns of B_n^-1.  The rows with the least nonzero
-    |det| give the fewest candidates; those that also satisfy the
-    remaining rows form the group.  Finiteness requires rank N.
+    Any n independent exponent rows B_n, picked greedily, confine the
+    solutions of B.Theta = 0 mod 1 to B_n^-1 Z^n mod 1, a group of order
+    D = |det B_n| generated by the columns of B_n^-1.  The candidates
+    that also satisfy the remaining rows form the group.  Finiteness
+    requires rank N.
     """
     n = W.n_vars
-    candidates = [(abs(int(det(rows))), rows) for rows in itertools.combinations(W.exponents, n)]
-    D, B_n = min((c for c in candidates if c[0]), default=(0, None))
-    if not D:
+    B_n: list[tuple[int, ...]] = []
+    for row in W.exponents:
+        if len(B_n) < n and rank(B_n + [row]) > len(B_n):
+            B_n.append(row)
+    if len(B_n) < n:
         raise WeightError("exponent matrix is rank-deficient; symmetry group is infinite")
+    D = abs(int(det(B_n)))
     # D * B_n^-1 is an integer matrix, so phases are held as integers mod D.
     gens = [tuple(int(D * t) % D for t in col) for col in zip(*inverse(B_n))]
     lattice, frontier = set(), [(0,) * n]
@@ -129,8 +124,9 @@ def enumerate_group(W: QHPoly) -> tuple[GroupElement, ...]:
             frontier += [tuple((a + b) % D for a, b in zip(v, g)) for g in gens]
     if len(lattice) != D:
         raise RuntimeError(f"lattice closure holds {len(lattice)} phase vectors, not |det| = {D}")
-    elements = (GroupElement(tuple(Fraction(k, D) for k in v)) for v in lattice)
-    return tuple(sorted((g for g in elements if is_member(W, g)), key=GroupElement.sort_key))
+    # Theta = v / D is a symmetry iff B.v = 0 mod D (is_member in integers).
+    return tuple(GroupElement(tuple(Fraction(k, D) for k in v)) for v in sorted(lattice)
+                 if all(sum(b * k for b, k in zip(row, v)) % D == 0 for row in W.exponents))
 
 
 def exponential_grading(W: QHPoly) -> GroupElement:
@@ -194,11 +190,9 @@ class Involution:
 
     turns: tuple[Fraction, ...]
 
-    def scale_factors(self) -> np.ndarray:
-        return np.array([cmath.exp(2j * cmath.pi * float(t)) for t in self.turns])
-
     def apply(self, u) -> np.ndarray:
-        return self.scale_factors() * np.asarray(u, dtype=complex)
+        scale = np.array([cmath.exp(2j * cmath.pi * float(t)) for t in self.turns])
+        return scale * np.asarray(u, dtype=complex)
 
     def square(self) -> GroupElement:
         return GroupElement.from_phases([2 * t for t in self.turns])
@@ -214,10 +208,10 @@ def gluing_involution(W: QHPoly, choice: int = 0) -> Involution:
     """
     d = reduce(math.lcm, (q.denominator for q in W.weights), 1)
     turns = tuple(Fraction((q * d).numerator * (1 + 2 * choice), 2 * d) for q in W.weights)
-    inv = Involution(tuple(_mod1(t) for t in turns))
+    inv = Involution(tuple(t % 1 for t in turns))
     # W(I u) = -W(u) holds exactly when I multiplies every monomial by -1.
     for row in W.exponents:
-        if _mod1(sum(b * t for b, t in zip(row, inv.turns))) != Fraction(1, 2):
+        if sum(b * t for b, t in zip(row, inv.turns)) % 1 != Fraction(1, 2):
             raise RuntimeError(f"involution does not negate monomial {row}")
     if not is_member(W, inv.square()):
         raise RuntimeError("square of the involution is not a group element")

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qhsing import exact
@@ -57,6 +58,20 @@ class TestInverse:
     def test_rational_entries(self):
         A = [[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 5)]]
         assert exact.inverse(exact.inverse(A)) == A
+
+
+class TestRank:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_numpy(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            A = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+            assert exact.rank(A) == np.linalg.matrix_rank(np.array(A, dtype=float))
+
+    def test_square_full_rank_iff_nonzero_det(self):
+        for A in random_matrices(0):
+            assert (exact.rank(A) == len(A)) == (exact.det(A) != 0)
 
 
 class TestSolve:

@@ -1,11 +1,10 @@
 import itertools
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qhsing import symmetry, wpoly
+from qhsing import exact, symmetry, wpoly
 from qhsing.symmetry import (GroupElement, central_charge, direct_sum,
                              enumerate_group, exponential_grading,
                              gluing_involution, is_member,
@@ -18,6 +17,14 @@ CORPUS = ["x^3", "x^4", "x^3+x*y^2", "x^4+x*y^2", "x^3+y^3", "x^3+x*y^3"]
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def full_polynomial(degree, n_vars):
+    """The sum of every monomial of the degree in x1..xN, x1^degree first."""
+    exps = (e for e in itertools.product(range(degree, -1, -1), repeat=n_vars)
+            if sum(e) == degree)
+    return "+".join("*".join(f"x{i + 1}^{k}" for i, k in enumerate(e) if k)
+                    for e in exps)
 
 
 class TestGroupElement:
@@ -86,13 +93,19 @@ class TestEnumerate:
         "x^5+y^5+x^3*y^2",
         # Three-variable chain and loop: non-Fermat generators.
         "x^2*y+y^3*z+z^4", "x^2*y+y^2*z+z^2*x",
+        # Every monomial of the degree: dense exponent matrices.
+        pytest.param(full_polynomial(3, 5), id="full-cubic-5-vars"),
+        pytest.param(full_polynomial(4, 4), id="full-quartic-4-vars"),
     ])
     def test_brute_force_agreement(self, text):
-        # Independent oracle: scan all phase vectors with denominator
-        # dividing the group exponent.
+        # Independent oracle: the order of every element divides |det| of
+        # any nonsingular block of n exponent rows, so scanning all phase
+        # vectors with that denominator finds the whole group.
         W = parse_polynomial(text)
         group = enumerate_group(W)
-        d = math.lcm(*[g.order for g in group])
+        dets = (abs(int(exact.det(rows)))
+                for rows in itertools.combinations(W.exponents, W.n_vars))
+        d = next(D for D in dets if D)
         found = set()
         for ks in itertools.product(range(d), repeat=W.n_vars):
             g = GroupElement(tuple(F(k, d) for k in ks))
