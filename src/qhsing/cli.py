@@ -341,6 +341,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out: list[str] = []
     try:
+        if args.seed < 0:
+            raise DomainError(f"--seed {args.seed}: must be a non-negative integer")
         status = COMMANDS[args.command](args, out)
     except DomainError as exc:
         out.append(f"error {exc}")
@@ -354,8 +356,12 @@ def main(argv=None) -> int:
         status = 1
     report = "\n".join(out) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+        except OSError as exc:
+            sys.stderr.write(f"error --out {args.out}: {exc.strerror}\n")
+            return 2
     else:
         sys.stdout.write(report)
     return status

@@ -3,9 +3,11 @@
 A ThimbleState is an ordered basis of mu labels with an integer
 intersection matrix R (R[i][j] = delta_i o delta_j) and optional
 virtual-cycle coordinate vectors expressed over the current basis.
-Monodromy, orientation, braid and Gabrielov moves are all unimodular
-changes of basis; wall crossings act directly on the coordinate
-vectors.  Everything is exact (int / Fraction).
+Orientation, braid and Gabrielov moves are unimodular changes of
+basis, applied as elementary row and column operations on R.  A
+monodromy h_i is a rank-1 change of determinant 1 + pl_sign * R[i][i]
+and is refused unless that is +-1.  Wall crossings act directly on the
+coordinate vectors.  Everything is exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -37,20 +39,6 @@ def _mat(rows) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
-def _identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-
-
-def _matmul(A, B) -> list[list[Fraction]]:
-    n, m, p = len(A), len(B), len(B[0])
-    return [[sum((A[i][k] * B[k][j] for k in range(m)), Fraction(0))
-             for j in range(p)] for i in range(n)]
-
-
-def _transpose(A) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*A)]
-
-
 def pl_sign(n_gamma: int) -> int:
     """Global sign (-1)^{N(N+1)/2} folded into monodromy coefficients."""
     return -1 if (n_gamma * (n_gamma + 1) // 2) % 2 else 1
@@ -72,10 +60,9 @@ class ThimbleState:
             raise ValueError("parity and pl_sign must be +-1")
         if len(self.R) != self.mu or any(len(row) != self.mu for row in self.R):
             raise ValueError("intersection matrix has wrong shape")
-        for i in range(self.mu):
-            for j in range(self.mu):
-                if i != j and self.R[i][j] != self.parity * self.R[j][i]:
-                    raise ValueError("intersection matrix violates its symmetry type")
+        R, p = self.R, self.parity
+        if any(R[i][j] != p * R[j][i] for i in range(self.mu) for j in range(i)):
+            raise ValueError("intersection matrix violates its symmetry type")
         if len(self.labels) != self.mu:
             raise ValueError("label count mismatch")
         if self.cycle_coords is not None:
@@ -106,35 +93,38 @@ class ThimbleState:
         return total
 
 
-def _apply_basis_change(state: ThimbleState, M,
-                        new_labels: Sequence[str] | None = None) -> ThimbleState:
-    """New basis delta'_i = sum_k M[i][k] delta_k.
+def _row_ops(A, ops) -> list:
+    """Rows of A after row t becomes sum(c * A[k] for k, c in ops[t])."""
+    out = list(A)
+    for t, terms in ops.items():
+        row = None
+        for k, c in terms:
+            term = A[k] if c == 1 else [c * a for a in A[k]]
+            row = term if row is None else [x + y for x, y in zip(row, term)]
+        out[t] = tuple(row)
+    return out
 
-    The intersection matrix transforms as M R M^T; tracked cycle
-    coordinates transform contravariantly (by the inverse transpose) so
-    the represented classes are unchanged.  M must be unimodular.
+
+def _change_basis(state: ThimbleState, ops, inv_t_ops,
+                  labels: tuple[str, ...] | None = None) -> ThimbleState:
+    """New basis delta'_t = sum(c * delta_k for k, c in ops[t]).
+
+    ops lists the rows of the basis change M that differ from the
+    identity, and inv_t_ops those of M^{-T}.  The intersection matrix
+    becomes M R M^T: the row operations, then the same operations on
+    the columns.  Tracked cycle coordinates move by M^{-T}, so the
+    represented classes are unchanged.
     """
-    det = exact.det(M)
-    if det not in (Fraction(1), Fraction(-1)):
-        raise ValueError(f"basis change is not unimodular (det {det})")
-    R_new = _mat(_matmul(_matmul(M, [list(r) for r in state.R]), _transpose(M)))
+    R = tuple(zip(*_row_ops(tuple(zip(*_row_ops(state.R, ops))), ops)))
     coords = state.cycle_coords
-    if coords is not None:
-        Minv_T = _transpose(exact.inverse(M))
-        coords = tuple(
-            tuple(sum((Minv_T[i][k] * v[k] for k in range(state.mu)), Fraction(0))
-                  for i in range(state.mu))
-            for v in coords)
-    labels = tuple(new_labels) if new_labels is not None else state.labels
-    return replace(state, R=R_new, labels=labels, cycle_coords=coords)
+    if coords:
+        coords = tuple(zip(*_row_ops(tuple(zip(*coords)), inv_t_ops)))
+    return replace(state, R=R, labels=labels if labels is not None else state.labels,
+                   cycle_coords=coords)
 
 
-def _monodromy_matrix(state: ThimbleState, i: int) -> list[list[Fraction]]:
-    """Matrix of h_{delta_i}: delta_j -> delta_j + pl_sign*R[j][i]*delta_i."""
-    M = _identity(state.mu)
-    for j in range(state.mu):
-        M[j][i] += state.pl_sign * state.R[j][i]
-    return M
+def _swapped(labels: tuple[str, ...], j: int) -> tuple[str, ...]:
+    return labels[:j] + (labels[j + 1], labels[j]) + labels[j + 2:]
 
 
 def _check_index(state: ThimbleState, i: int):
@@ -143,24 +133,31 @@ def _check_index(state: ThimbleState, i: int):
 
 
 def monodromy_apply(state: ThimbleState, i: int) -> ThimbleState:
-    """Picard-Lefschetz monodromy around critical value i (0-based)."""
+    """Picard-Lefschetz monodromy around critical value i (0-based).
+
+    h_i sends delta_k to delta_k + u_k delta_i with u = pl_sign * R[:, i],
+    a rank-1 change of basis of determinant 1 + u_i.
+    """
     _check_index(state, i)
-    return _apply_basis_change(state, _monodromy_matrix(state, i))
+    u = [state.pl_sign * row[i] for row in state.R]
+    det = 1 + u[i]
+    if det not in (1, -1):
+        raise ValueError(f"basis change is not unimodular (det {det})")
+    ops = {k: ((k, 1), (i, uk)) for k, uk in enumerate(u) if uk and k != i}
+    ops[i] = ((i, det),)
+    # Sherman-Morrison: M^{-T} = I - e_i u^T / det, and 1 / det = det.
+    inv_row = [(i, det)] + [(k, -uk * det) for k, uk in enumerate(u) if uk and k != i]
+    return _change_basis(state, ops, {i: inv_row})
 
 
 def braid_move(state: ThimbleState, j: int) -> ThimbleState:
     """Replace positions (j, j+1) by (h_j(delta_{j+1}), delta_j)."""
     _check_index(state, j)
     _check_index(state, j + 1)
-    M = _identity(state.mu)
-    M[j] = [Fraction(0)] * state.mu
-    M[j][j + 1] = Fraction(1)
-    M[j][j] = state.pl_sign * state.R[j + 1][j]
-    M[j + 1] = [Fraction(0)] * state.mu
-    M[j + 1][j] = Fraction(1)
-    labels = list(state.labels)
-    labels[j], labels[j + 1] = labels[j + 1], labels[j]
-    return _apply_basis_change(state, M, labels)
+    c = state.pl_sign * state.R[j + 1][j]
+    return _change_basis(state, {j: ((j, c), (j + 1, 1)), j + 1: ((j, 1),)},
+                         {j: ((j + 1, 1),), j + 1: ((j, 1), (j + 1, -c))},
+                         _swapped(state.labels, j))
 
 
 def braid_move_inverse(state: ThimbleState, j: int) -> ThimbleState:
@@ -174,23 +171,16 @@ def braid_move_inverse(state: ThimbleState, j: int) -> ThimbleState:
     if denom == 0:
         raise ValueError("braid inverse undefined for this self-intersection")
     x = Fraction(state.pl_sign * state.R[j][j + 1], 1) / denom
-    M = _identity(state.mu)
-    M[j] = [Fraction(0)] * state.mu
-    M[j][j + 1] = Fraction(1)
-    M[j + 1] = [Fraction(0)] * state.mu
-    M[j + 1][j] = Fraction(1)
-    M[j + 1][j + 1] = -x
-    labels = list(state.labels)
-    labels[j], labels[j + 1] = labels[j + 1], labels[j]
-    return _apply_basis_change(state, M, labels)
+    return _change_basis(state, {j: ((j + 1, 1),), j + 1: ((j, 1), (j + 1, -x))},
+                         {j: ((j, x), (j + 1, 1)), j + 1: ((j, 1),)},
+                         _swapped(state.labels, j))
 
 
 def orientation_flip(state: ThimbleState, j: int) -> ThimbleState:
     """Flip the orientation of basis element j."""
     _check_index(state, j)
-    M = _identity(state.mu)
-    M[j][j] = Fraction(-1)
-    return _apply_basis_change(state, M)
+    flip = {j: ((j, -1),)}
+    return _change_basis(state, flip, flip)
 
 
 def gabrielov_move(state: ThimbleState, i: int, j: int) -> ThimbleState:
@@ -199,9 +189,8 @@ def gabrielov_move(state: ThimbleState, i: int, j: int) -> ThimbleState:
     _check_index(state, j)
     if i == j:
         raise IndexError("Gabrielov move needs two distinct slots")
-    M = _identity(state.mu)
-    M[j][i] += state.pl_sign * state.R[j][i]
-    return _apply_basis_change(state, M)
+    c = state.pl_sign * state.R[j][i]
+    return _change_basis(state, {j: ((j, 1), (i, c))}, {i: ((i, 1), (j, -c))})
 
 
 def wall_cross(state: ThimbleState, i: int, direction: str,
@@ -230,11 +219,9 @@ def wall_cross(state: ThimbleState, i: int, direction: str,
     else:
         raise ValueError("direction must be 'left' or 'right'")
     coords[i], coords[i + 1] = new_i, new_ip1
-    labels = list(state.labels)
-    labels[i], labels[i + 1] = labels[i + 1], labels[i]
     return replace(state,
                    cycle_coords=tuple(tuple(v) for v in coords),
-                   labels=tuple(labels))
+                   labels=_swapped(state.labels, i))
 
 
 @dataclass(frozen=True)

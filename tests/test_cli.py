@@ -233,6 +233,23 @@ class TestOutputFile:
         assert "milnor 2" in path.read_text()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_domain_error(self, capsys, tmp_path, where):
+        path = tmp_path / "no" / "such" / "f" if where == "missing-dir" else tmp_path
+        status = cli.main(["group", "x^3", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.err.startswith(f"error --out {path}: ")
+        assert captured.out == ""
+
+
+class TestSeed:
+    @pytest.mark.parametrize("argv", [("perturb", "x^3", "--b=3"), ("selftest",)])
+    def test_negative_seed_refused_before_the_command(self, capsys, argv):
+        status, out = run(capsys, *argv, "--seed", "-1")
+        assert status == 2
+        assert out == "error --seed -1: must be a non-negative integer\n"
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

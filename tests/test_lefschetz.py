@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from qhsing import exact
 from qhsing.lefschetz import (RationalTensor, ThimbleState, braid_move,
                               braid_move_inverse, casimir, contract_pm,
                               gabrielov_move, monodromy_apply,
@@ -183,6 +184,120 @@ class TestOtherMoves:
                         nxt.append(cand)
             frontier = nxt
         assert found
+
+
+def reference_matrix(state, move, i, j):
+    """The basis change M (delta' = M delta) of one move, as Fraction rows."""
+    mu, s, R = state.mu, state.pl_sign, state.R
+    M = [[F(int(a == b)) for b in range(mu)] for a in range(mu)]
+    if move == "monodromy":
+        for k in range(mu):
+            M[k][i] += s * R[k][i]
+    elif move == "braid":
+        M[i] = [F(0)] * mu
+        M[i][i], M[i][i + 1] = s * R[i + 1][i], F(1)
+        M[i + 1] = [F(int(b == i)) for b in range(mu)]
+    elif move == "braid_inverse":
+        x = F(s * R[i][i + 1]) / (1 + s * R[i + 1][i + 1])
+        M[i] = [F(int(b == i + 1)) for b in range(mu)]
+        M[i + 1] = [F(0)] * mu
+        M[i + 1][i], M[i + 1][i + 1] = F(1), -x
+    elif move == "flip":
+        M[i][i] = F(-1)
+    else:
+        M[j][i] += s * R[j][i]
+    return M
+
+
+def reference_move(state, move, i, j):
+    """R, labels and cycle coordinates after a move, by full matrix products.
+
+    R becomes M R M^T and each tracked vector v becomes M^{-T} v; a basis
+    change with det M other than +-1 is refused.
+    """
+    mu = state.mu
+    M = reference_matrix(state, move, i, j)
+    det = exact.det(M)
+    if det not in (1, -1):
+        raise ValueError(f"basis change is not unimodular (det {det})")
+    MR = [[F(0)] * mu for _ in range(mu)]
+    for a in range(mu):
+        for b in range(mu):
+            for k in range(mu):
+                MR[a][b] += M[a][k] * state.R[k][b]
+    R = [[F(0)] * mu for _ in range(mu)]
+    for a in range(mu):
+        for b in range(mu):
+            for k in range(mu):
+                R[a][b] += MR[a][k] * M[b][k]
+    labels = list(state.labels)
+    if move in ("braid", "braid_inverse"):
+        labels[i], labels[i + 1] = labels[i + 1], labels[i]
+    Minv = exact.inverse(M)
+    coords = [[sum((Minv[k][a] * v[k] for k in range(mu)), F(0)) for a in range(mu)]
+              for v in state.cycle_coords]
+    return R, labels, coords
+
+
+MOVES = {
+    "monodromy": lambda st, i, j: monodromy_apply(st, i),
+    "braid": lambda st, i, j: braid_move(st, i),
+    "braid_inverse": lambda st, i, j: braid_move_inverse(st, i),
+    "flip": lambda st, i, j: orientation_flip(st, i),
+    "gabrielov": lambda st, i, j: gabrielov_move(st, i, j),
+}
+
+
+def random_move_state(rng, mu, n_gamma):
+    """Random state with tracked fractional cycles.
+
+    A symmetric diagonal in {-2, 0, 2, 4} makes some monodromies
+    non-unimodular and some braid_move_inverse coefficients fractional.
+    """
+    if (n_gamma - 1) % 2 == 0:
+        R = random_sym(rng, mu, 0)
+        for k in range(mu):
+            R[k][k] = rng.choice([-2, 0, 2, 4])
+    else:
+        R = random_antisym(rng, mu)
+    coords = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(mu)]
+              for _ in range(rng.randint(1, 3))]
+    return ThimbleState.make(R, n_gamma=n_gamma, cycle_coords=coords)
+
+
+class TestMovesAgainstMatrixProducts:
+    @pytest.mark.parametrize("move", sorted(MOVES))
+    def test_move_matches_reference(self, move):
+        rng = random.Random(f"elementary-{move}")
+        refused = fractional = 0
+        for case in range(16):
+            mu = 24 if case == 0 else rng.randint(2, 24)
+            st = random_move_state(rng, mu, rng.randint(1, 4))
+            i = rng.randrange(mu - 1 if move.startswith("braid") else mu)
+            j = rng.choice([k for k in range(mu) if k != i])
+            if move == "braid_inverse":
+                fractional += (1 + st.pl_sign * st.R[i + 1][i + 1]) not in (1, -1)
+            try:
+                want = reference_move(st, move, i, j)
+            except ValueError as exc:
+                refused += 1
+                with pytest.raises(ValueError) as got:
+                    MOVES[move](st, i, j)
+                assert str(got.value) == str(exc)
+                continue
+            out = MOVES[move](st, i, j)
+            assert [list(row) for row in out.R] == want[0]
+            assert list(out.labels) == want[1]
+            assert [list(v) for v in out.cycle_coords] == want[2]
+        assert bool(refused) == (move == "monodromy")
+        if move == "braid_inverse":
+            assert fractional
+
+    def test_non_unimodular_monodromy_refused(self):
+        # det = 1 + pl_sign * R[0][0] = 1 - 4 at n_gamma = 1.
+        st = ThimbleState.make([[4, 1], [1, 2]], n_gamma=1, cycle_coords=[[1, 0]])
+        with pytest.raises(ValueError, match=r"^basis change is not unimodular \(det -3\)$"):
+            monodromy_apply(st, 0)
 
 
 class TestWallCross:
