@@ -143,11 +143,11 @@ def monodromy_apply(state: ThimbleState, i: int) -> ThimbleState:
     det = 1 + u[i]
     if det not in (1, -1):
         raise ValueError(f"basis change is not unimodular (det {det})")
-    ops = {k: ((k, 1), (i, uk)) for k, uk in enumerate(u) if uk and k != i}
+    off = [(k, uk) for k, uk in enumerate(u) if uk and k != i]
+    ops = {k: ((k, 1), (i, uk)) for k, uk in off}
     ops[i] = ((i, det),)
     # Sherman-Morrison: M^{-T} = I - e_i u^T / det, and 1 / det = det.
-    inv_row = [(i, det)] + [(k, -uk * det) for k, uk in enumerate(u) if uk and k != i]
-    return _change_basis(state, ops, {i: inv_row})
+    return _change_basis(state, ops, {i: [(i, det)] + [(k, -uk * det) for k, uk in off]})
 
 
 def braid_move(state: ThimbleState, j: int) -> ThimbleState:
