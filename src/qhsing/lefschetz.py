@@ -115,7 +115,8 @@ def _change_basis(state: ThimbleState, ops, inv_t_ops,
     the columns.  Tracked cycle coordinates move by M^{-T}, so the
     represented classes are unchanged.
     """
-    R = tuple(zip(*_row_ops(tuple(zip(*_row_ops(state.R, ops))), ops)))
+    MR = _row_ops(state.R, ops)
+    R = tuple(zip(*_row_ops(tuple(zip(*MR)), ops)))     # (M (M R)^T)^T = M R M^T
     coords = state.cycle_coords
     if coords:
         coords = tuple(zip(*_row_ops(tuple(zip(*coords)), inv_t_ops)))

@@ -276,7 +276,9 @@ class TestMovesAgainstMatrixProducts:
             i = rng.randrange(mu - 1 if move.startswith("braid") else mu)
             j = rng.choice([k for k in range(mu) if k != i])
             if move == "braid_inverse":
-                fractional += (1 + st.pl_sign * st.R[i + 1][i + 1]) not in (1, -1)
+                s = st.pl_sign
+                x = F(s * st.R[i][i + 1]) / (1 + s * st.R[i + 1][i + 1])
+                fractional += x.denominator > 1
             try:
                 want = reference_move(st, move, i, j)
             except ValueError as exc:
