@@ -202,8 +202,7 @@ def cmd_solitons(args, out):
     if not (1 <= i <= m.mu and 1 <= j <= m.mu):
         raise DomainError(f"--pair {i} {j}: indices must lie in 1..{m.mu}")
     try:
-        count = soliton.count_bps_solitons(W, m, m.ordering[i - 1], m.ordering[j - 1],
-                                           wall_tol=args.tol)
+        count = soliton.count_bps_solitons(W, m, m.ordering[i - 1], m.ordering[j - 1])
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     out.append(f"count {count}")
@@ -323,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polynomial", nargs="?", default="",
                    help="polynomial text, e.g. 'x^3+x*y^2'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--out", type=str, default="")
     p.add_argument("--graph", type=str, default="")
     p.add_argument("--b", type=str, default="",

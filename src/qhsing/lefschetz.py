@@ -60,8 +60,9 @@ class ThimbleState:
             raise ValueError("parity and pl_sign must be +-1")
         if len(self.R) != self.mu or any(len(row) != self.mu for row in self.R):
             raise ValueError("intersection matrix has wrong shape")
-        R, p = self.R, self.parity
-        if any(R[i][j] != p * R[j][i] for i in range(self.mu) for j in range(i)):
+        R, symmetric = self.R, self.parity == 1
+        if any(R[i][j] != (R[j][i] if symmetric else -R[j][i])
+               for i in range(self.mu) for j in range(i)):
             raise ValueError("intersection matrix violates its symmetry type")
         if len(self.labels) != self.mu:
             raise ValueError("label count mismatch")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,8 +42,9 @@ __all__ = [
 ]
 
 CAPTURE_RADIUS = 1e-6
-FLOW_RTOL = 1e-10       # solve_ivp relative tolerance of integrate_flow
-FLOW_ATOL = 1e-10       # solve_ivp absolute tolerance of integrate_flow
+FLOW_RTOL = 1e-10       # relative local-error tolerance of integrate_flow
+FLOW_ATOL = 1e-10       # absolute local-error tolerance of integrate_flow
+WALL_TOL = 1e-6         # |Im alpha_i - Im alpha_j| bound of a wall, relative to max |alpha|
 IM_DRIFT_TOL = 1e-8
 RE_MONOTONE_TOL = 1e-10
 LIFT_END = 1e-6         # lift ends' offset from alpha_i, alpha_j, in segment lengths
@@ -65,6 +67,17 @@ class FlowTrajectory:
     escaped: bool
     n_steps: int
     energy_integral: float          # integral of sum |grad(W+W0)|^2 ds
+    n_rhs: int                      # right-hand side evaluations made
+
+
+# Dormand-Prince 5(4) stages, solution and error weights (J. Comput. Appl.
+# Math. 6, 1980) and the step-size factors of scipy's RK45 controller.
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_DP_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
 def flow_field(W: QHPoly, b, u) -> np.ndarray:
@@ -79,53 +92,108 @@ def _classify_endpoint(u, critical_points, radius=CAPTURE_RADIUS * 10) -> int | 
     return None
 
 
+def _rms(v) -> float:
+    return math.sqrt(sum(abs(x) ** 2 for x in v)) / len(v) ** 0.5
+
+
+def _combine(y, K, w, h):
+    """y + h * sum_j w_j K_j on lists of Python complex."""
+    return [a + sum(map(mul, ks, w)) * h for a, ks in zip(y, zip(*K))]
+
+
+def _initial_step(rhs, y, f, span: float) -> float:
+    """Hairer-Norsett-Wanner II.4 starting step for an order-4 error estimate."""
+    scale = [FLOW_ATOL + abs(a) * FLOW_RTOL for a in y]
+    d0 = _rms([a / sc for a, sc in zip(y, scale)])
+    d1 = _rms([a / sc for a, sc in zip(f, scale)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    f1 = rhs([a + h0 * c for a, c in zip(y, f)])
+    d2 = _rms([(a - c) / sc for a, c, sc in zip(f1, f, scale)]) / h0
+    h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+          else (0.01 / max(d1, d2)) ** (1 / 5))
+    return min(100 * h0, h1, span)
+
+
+def _dp_step(rhs, s: float, y, f, h_abs: float, s_end: float):
+    """One accepted Dormand-Prince 5(4) step: (s, y, f, next |h|)."""
+    min_step = 10 * (math.nextafter(s, math.inf) - s)
+    h_abs = max(h_abs, min_step)
+    rejected = False
+    while True:
+        if h_abs < min_step:
+            raise RuntimeError("integration failed: Required step size is less "
+                               "than spacing between numbers.")
+        s_new = min(s + h_abs, s_end)
+        h = h_abs = s_new - s
+        K = [f]
+        for a in _DP_A:
+            K.append(rhs(_combine(y, K, a, h)))
+        y_new = _combine(y, K, _DP_B, h)
+        K.append(rhs(y_new))
+        err = [sum(map(mul, ks, _DP_E)) * h for ks in zip(*K)]
+        error_norm = _rms([e / (FLOW_ATOL + max(abs(a), abs(c)) * FLOW_RTOL)
+                           for e, a, c in zip(err, y, y_new)])
+        if error_norm < 1:
+            factor = _MAX_FACTOR if error_norm == 0 else min(
+                _MAX_FACTOR, _SAFETY * error_norm ** -0.2)
+            return s_new, y_new, K[-1], h_abs * (min(1, factor) if rejected else factor)
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
+        rejected = True
+
+
 def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
                    critical_points: Sequence[np.ndarray] = ()) -> FlowTrajectory:
-    """Adaptive embedded Runge-Kutta integration of the BPS flow.
+    """Adaptive Dormand-Prince 5(4) integration of the BPS flow on s_span.
 
-    Terminates early on arrival within the capture radius of a supplied
-    critical point or on escape far beyond the critical cluster; the Im
-    conservation and Re monotonicity invariants are verified on the
-    samples afterwards.
+    The step-size controller is that of scipy's RK45 at FLOW_RTOL and
+    FLOW_ATOL.  After each accepted step the flow stops if the step
+    entered the capture sphere of a supplied critical point (one that
+    does not hold u0) or left the escape sphere far beyond the critical
+    cluster; that step's end is the last sample.  The Im conservation and
+    Re monotonicity invariants are verified on the samples afterwards.
     """
-    b = np.asarray(b, dtype=complex)
+    s0, s1 = (float(t) for t in s_span)
+    if not s1 > s0:
+        raise ValueError(f"need s_span with s1 > s0, got {s_span}")
     u0 = np.asarray(u0, dtype=complex)
+    if u0.shape != (W.n_vars,):
+        raise ValueError(f"expected vector of length {W.n_vars}, got shape {u0.shape}")
+    b = np.asarray(b, dtype=complex)
+    bl = np.broadcast_to(b, u0.shape).tolist()
     pts = [np.asarray(p, dtype=complex) for p in critical_points]
     max_norm = max((np.linalg.norm(p) for p in pts), default=1.0)
     escape_radius = 10.0 * max(max_norm, 1.0)
+    # Do not stop on departure from the start point's own sphere.
+    targets = [p.tolist() for p in pts if np.linalg.norm(u0 - p) > CAPTURE_RADIUS]
+    n_rhs = 0
 
-    def rhs(s, y):
+    def rhs(y):
         # Last slot accumulates the energy integrand sum |grad|^2.
-        g = perturbed_gradient(W, b, y[:-1])
-        return np.concatenate([2.0 * np.conj(g),
-                               [complex(np.sum(np.abs(g) ** 2))]])
+        nonlocal n_rhs
+        n_rhs += 1
+        g = list(map(add, W.gradient_values(y), bl))
+        return [2.0 * a.conjugate() for a in g] + [complex(sum([abs(a) ** 2 for a in g]))]
 
-    events = []
+    def norm(v):
+        return math.sqrt(sum(abs(a) ** 2 for a in v))
 
-    def escape_event(s, y):
-        return np.linalg.norm(y[:-1]) - escape_radius
-    escape_event.terminal = True
-    escape_event.direction = 1
-    events.append(escape_event)
-
-    for kappa in pts:
-        def capture(s, y, kappa=kappa):
-            return np.linalg.norm(y[:-1] - kappa) - CAPTURE_RADIUS
-        capture.terminal = True
-        capture.direction = -1
-        # Do not trigger on departure from the start point's own sphere.
-        if np.linalg.norm(u0 - kappa) > CAPTURE_RADIUS:
-            events.append(capture)
-
-    y0 = np.concatenate([u0, [0j]])
-    sol = sp_integrate.solve_ivp(rhs, s_span, y0, method="RK45",
-                                 rtol=FLOW_RTOL, atol=FLOW_ATOL, events=events,
-                                 dense_output=False)
-    if not sol.success and sol.status != 1:
-        raise RuntimeError(f"integration failed: {sol.message}")
-    samples = sol.y[:-1].T
-    energy = float(sol.y[-1, -1].real)
-    svals = sol.t
+    y = u0.tolist() + [0j]
+    f = rhs(y)
+    h_abs = _initial_step(rhs, y, f, s1 - s0)
+    s, svals, ys = s0, [s0], [y]
+    inside = norm(y[:-1]) <= escape_radius
+    while s < s1:
+        s, y, f, h_abs = _dp_step(rhs, s, y, f, h_abs, s1)
+        svals.append(s)
+        ys.append(y)
+        r = norm(y[:-1])
+        if (inside and r >= escape_radius) or any(
+                norm([a - c for a, c in zip(y, p)]) <= CAPTURE_RADIUS for p in targets):
+            break
+        inside = r <= escape_radius
+    samples = np.array([y[:-1] for y in ys])
+    energy = ys[-1][-1].real
+    svals = np.array(svals)
     wvals = np.array([perturbed_value(W, b, u) for u in samples])
     im0 = float(wvals[0].imag)
     drift = float(np.max(np.abs(wvals.imag - im0)))
@@ -143,7 +211,7 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
     return FlowTrajectory(s=svals, u=samples, im_value=im0, im_drift=drift,
                           re_monotone=re_mono, endpoints=(bwd, fwd),
                           escaped=escaped, n_steps=len(svals),
-                          energy_integral=energy)
+                          energy_integral=energy, n_rhs=n_rhs)
 
 
 def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
@@ -208,8 +276,7 @@ def _summands(W: QHPoly) -> list[set[int]]:
     return blocks
 
 
-def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
-                       wall_tol: float = 1e-6) -> int:
+def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int) -> int:
     """Number of distinct flow lines from critical point i to j.
 
     Requires a wall configuration (equal imaginary values, Re alpha_i <
@@ -225,7 +292,7 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int,
         return 0
     a_i, a_j = m.critical_values[i], m.critical_values[j]
     scale = max(1.0, max(abs(v) for v in m.critical_values))
-    if abs(a_i.imag - a_j.imag) > wall_tol * scale:
+    if abs(a_i.imag - a_j.imag) > WALL_TOL * scale:
         raise ValueError("not a wall configuration: imaginary values differ")
     if not a_i.real < a_j.real:
         raise ValueError("need Re alpha_i < Re alpha_j")

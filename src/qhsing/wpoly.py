@@ -14,6 +14,7 @@ import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,6 +78,38 @@ class QHPoly:
             total = sum(e * q for e, q in zip(row, self.weights))
             if total != 1:
                 raise WeightError(f"monomial {row} has weight {total} != 1")
+
+    @cached_property
+    def gradient_terms(self) -> tuple[tuple[tuple[complex, tuple], ...], ...]:
+        """Per variable i, the terms (c * e_i, ((k, p), ...)) of dW/du_i.
+
+        Each term is its coefficient times the product of u_k ** p over
+        the listed (k, p), all p > 0.  Built on first use.
+        """
+        table: list[list] = [[] for _ in range(self.n_vars)]
+        for row, c in zip(self.exponents, self.coeffs):
+            for i, e in enumerate(row):
+                if e:
+                    powers = [(k, ek - (k == i)) for k, ek in enumerate(row)]
+                    table[i].append((c * e, tuple((k, p) for k, p in powers if p)))
+        return tuple(map(tuple, table))
+
+    def gradient_values(self, u) -> list[complex]:
+        """dW/du_1, ..., dW/du_N at u, from the gradient term table.
+
+        u is a sequence of Python complex of length at least N; entries
+        past the N-th are ignored.  This is the one evaluator of the
+        gradient.
+        """
+        g = []
+        for terms in self.gradient_terms:
+            total = 0j
+            for c, powers in terms:
+                for k, p in powers:
+                    c *= u[k] ** p
+                total += c
+            g.append(total)
+        return g
 
     @staticmethod
     def from_monomials(n_vars: int,
@@ -255,19 +288,7 @@ def value(W: QHPoly, u) -> complex:
 
 def gradient(W: QHPoly, u) -> np.ndarray:
     """Holomorphic gradient (dW/du_1, ..., dW/du_N) at u."""
-    u = _as_vector(W, u)
-    g = np.zeros(W.n_vars, dtype=complex)
-    for row, c in zip(W.exponents, W.coeffs):
-        for i, e in enumerate(row):
-            if e == 0:
-                continue
-            term = c * e
-            for k, ek in enumerate(row):
-                p = ek - 1 if k == i else ek
-                if p:
-                    term *= u[k] ** p
-            g[i] += term
-    return g
+    return np.array(W.gradient_values(_as_vector(W, u).tolist()), dtype=complex)
 
 
 def hessian(W: QHPoly, u) -> np.ndarray:

@@ -181,6 +181,18 @@ class TestSolitonCommand:
                         "--pair", "1", "2")
         assert status == 2
 
+    @pytest.mark.parametrize("tol", ["10", "nan", "inf"])
+    def test_wall_tolerance_is_not_an_option(self, capsys, tol):
+        # At b = -3+i the critical values have Im -+1.0045: no wall, no count.
+        argv = ["solitons", "x^3", "--b=-3+1i", "--pair", "2", "1"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [f"--tol={tol}"])
+        assert exc.value.code == 2
+        assert "count" not in capsys.readouterr().out
+        status, out = run(capsys, *argv)
+        assert status == 2
+        assert out.startswith("error not a wall configuration")
+
     def test_direct_sum_one_summand_pair(self, capsys):
         status, out = run(capsys, "solitons", "x^3+y^3", "--b=-3,-0.3",
                           "--pair", "1", "3")

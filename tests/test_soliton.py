@@ -1,11 +1,14 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from qhsing import soliton
 from qhsing.morse import (detect_wall_crossings, find_critical_points,
+                          is_strongly_regular, perturbed_gradient,
                           perturbed_value)
 from qhsing.soliton import (CylinderField, a1_bounded_spectrum_empty,
                             count_bps_solitons, energy_identity_check,
@@ -75,6 +78,140 @@ class TestFlow:
         rep = trajectory_report(traj)
         assert "re_monotone true" in rep
         assert f"endpoint_forward {j}" in rep
+
+
+def reference_flow(W, b, u0, s_span, critical_points):
+    """The flow by scipy's RK45 with terminal capture and escape events.
+
+    This is how integrate_flow worked before its own Dormand-Prince
+    stepper; it is kept here as the reference the stepper must match.
+    Returns the solve_ivp result and the escape radius.
+    """
+    b = np.asarray(b, dtype=complex)
+    u0 = np.asarray(u0, dtype=complex)
+    pts = [np.asarray(p, dtype=complex) for p in critical_points]
+    escape_radius = 10.0 * max(max((np.linalg.norm(p) for p in pts), default=1.0), 1.0)
+
+    def rhs(s, y):
+        g = perturbed_gradient(W, b, y[:-1])
+        return np.concatenate([2.0 * np.conj(g), [complex(np.sum(np.abs(g) ** 2))]])
+
+    def escape(s, y):
+        return np.linalg.norm(y[:-1]) - escape_radius
+    escape.terminal, escape.direction = True, 1
+    events = [escape]
+    for kappa in pts:
+        def capture(s, y, kappa=kappa):
+            return np.linalg.norm(y[:-1] - kappa) - soliton.CAPTURE_RADIUS
+        capture.terminal, capture.direction = True, -1
+        if np.linalg.norm(u0 - kappa) > soliton.CAPTURE_RADIUS:
+            events.append(capture)
+    sol = solve_ivp(rhs, s_span, np.concatenate([u0, [0j]]), method="RK45",
+                    rtol=soliton.FLOW_RTOL, atol=soliton.FLOW_ATOL, events=events)
+    assert sol.status in (0, 1), sol.message
+    return sol, escape_radius
+
+
+def reference_shots(text, seed):
+    """(W, b, u0, critical points) of seeded flow shots on W.
+
+    Six starts 1e-3 from a critical point at a seeded strongly regular b,
+    each in the cone where Re(W + W0) rises, then the start of every
+    connecting orbit of a one-variable lift at a wall b, from the lift's
+    first point (on the orbit, about 1e-3 from its critical point).
+    """
+    W = parse_polynomial(text)
+    rng = np.random.default_rng(seed)
+    while True:
+        b = list(2 * (rng.normal(size=W.n_vars) + 1j * rng.normal(size=W.n_vars)))
+        m = find_critical_points(W, b)
+        if is_strongly_regular(m)[0]:
+            break
+    pts = [np.array(p) for p in m.critical_points]
+    i = int(rng.integers(len(pts)))
+    starts = [pts[i] + 1e-3 * np.exp(1j * a) for a in rng.uniform(0, 2 * np.pi, 40)]
+    shots = [(W, b, u0, pts) for u0 in starts
+             if (perturbed_value(W, b, u0) - m.critical_values[i]).real > 0][:6]
+    wall_b = {"x^3": [-3.0], "x^4": [4 * cmath.exp(1j * cmath.pi / 8)],
+              "x^3+y^3": [-3.0, -0.3]}[text]
+    m = find_critical_points(W, wall_b)
+    pts = [np.array(p) for p in m.critical_points]
+    for p, q in aligned_pairs(m):
+        moved = moved_coordinates(m, p, q)
+        if len(moved) != 1:
+            continue
+        v = moved[0]
+        W_v = parse_polynomial(text.split("+")[v].replace("y", "x"))
+        k_p, k_q = m.critical_points[p][v], m.critical_points[q][v]
+        for start, _, arrives in soliton._lifts(W_v, wall_b[v], k_p, k_q):
+            if arrives:
+                u0 = pts[p].copy()
+                u0[v] = start
+                shots.append((W, wall_b, u0, pts))
+    return shots
+
+
+class TestStepperAgainstSolveIvp:
+    # No line through two critical points of x^4 + b x is invariant under
+    # the flow, so its wall orbit misses the capture sphere (by about 7e-6)
+    # and escapes; the real axis holds the captured orbits of the others.
+    @pytest.mark.parametrize("text, seed, captures",
+                             [("x^3", 1, 1), ("x^4", 2, 0), ("x^3+y^3", 3, 3)])
+    def test_same_steps_samples_and_endpoints(self, text, seed, captures):
+        shots = [(*shot, (0.0, 40.0)) for shot in reference_shots(text, seed)]
+        shots.append((*shots[0][:4], (0.0, 0.05)))
+        outcomes = []
+        for W, b, u0, pts, span in shots:
+            traj = integrate_flow(W, b, u0, span, critical_points=pts)
+            sol, radius = reference_flow(W, b, u0, span, pts)
+            ref_u = sol.y[:-1].T
+            ref_escaped = bool(np.linalg.norm(ref_u[-1]) >= 0.999 * radius)
+            ref_fwd = None if ref_escaped else soliton._classify_endpoint(ref_u[-1], pts)
+            ref_bwd = soliton._classify_endpoint(ref_u[0], pts, radius=2e-3)
+            assert traj.n_steps == len(sol.t)
+            assert traj.n_rhs == sol.nfev
+            assert traj.escaped == ref_escaped
+            assert traj.endpoints == (ref_bwd, ref_fwd)
+            # Every step but the last ends at the same sample.
+            assert np.max(np.abs(traj.s[:-1] - sol.t[:-1])) < 1e-6
+            assert np.max(np.abs(traj.u[:-1] - ref_u[:-1])) < 1e-6
+            # solve_ivp's last sample is its event's root inside the last
+            # step; the stepper's is the end of that step.
+            assert sol.t[-1] <= traj.s[-1] + 1e-12
+            if traj.escaped:
+                assert np.linalg.norm(traj.u[-1]) >= radius
+                outcomes.append("escaped")
+            elif ref_fwd is not None:
+                assert np.linalg.norm(traj.u[-1] - pts[ref_fwd]) <= soliton.CAPTURE_RADIUS
+                ref = replace(traj, s=sol.t, u=ref_u, energy_integral=sol.y[-1, -1].real)
+                assert abs(energy_identity_check(W, b, traj)
+                           - energy_identity_check(W, b, ref)) < 1e-9
+                outcomes.append("captured")
+            else:
+                assert np.max(np.abs(traj.u[-1] - ref_u[-1])) < 1e-6
+                outcomes.append("open")
+        assert outcomes.count("captured") == captures
+        assert "escaped" in outcomes and outcomes[-1] == "open"
+
+    def test_start_outside_the_escape_sphere(self):
+        # On the real line W' + 3 = 3x^2 + 3 > 0: from -20 the flow enters
+        # the escape sphere |u| = 10, passes the origin and escapes at +10.
+        W = parse_polynomial("x^3")
+        pts = [np.array([1j]), np.array([-1j])]
+        u0 = np.array([-20.0 + 0j])
+        traj = integrate_flow(W, [3.0], u0, (0.0, 10.0), critical_points=pts)
+        sol, radius = reference_flow(W, [3.0], u0, (0.0, 10.0), pts)
+        assert radius == 10.0
+        assert traj.escaped and traj.u[-1, 0].real >= radius
+        assert np.min(np.abs(traj.u[:, 0])) < 1.0
+        assert traj.n_steps == len(sol.t)
+        assert np.max(np.abs(traj.u[:-1] - sol.y[0, :-1, None])) < 1e-6
+
+    @pytest.mark.parametrize("span", [(1.0, 1.0), (2.0, 1.0)])
+    def test_empty_or_backward_span_refused(self, span):
+        W = parse_polynomial("x^3")
+        with pytest.raises(ValueError, match="s1 > s0"):
+            integrate_flow(W, [3.0], np.array([0.3 + 0.2j]), span)
 
 
 class TestCounting:

@@ -89,6 +89,22 @@ class TestCalculus:
         g = gradient(W, [1.0, 1.0])
         assert g == pytest.approx([4.0, 2.0])
 
+    def test_gradient_from_term_table_on_chain(self):
+        # x^3 + x*y^2: dW/dx = 3 x^2 + y^2 and dW/dy = 2 x y.
+        W = parse_polynomial("x^3 + x*y^2")
+        assert milnor_number(W) == 4
+        assert "gradient_terms" not in vars(W)  # the exact layers never build it
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x, y = rng.normal(size=2) + 1j * rng.normal(size=2)
+            g = gradient(W, np.array([x, y]))
+            assert type(g) is np.ndarray and g.dtype == complex and g.shape == (2,)
+            assert g == pytest.approx([3 * x ** 2 + y ** 2, 2 * x * y], rel=1e-14)
+            assert g.tolist() == W.gradient_values([complex(x), complex(y)])
+        # Monomials in sorted exponent order: x*y^2, then x^3.
+        assert W.gradient_terms == (((1, ((1, 2),)), (3, ((0, 2),))),
+                                    ((2, ((0, 1), (1, 1))),))
+
     def test_hessian_cubic(self):
         W = parse_polynomial("x^3")
         assert np.allclose(hessian(W, [1.0]), [[6.0]])
