@@ -10,12 +10,14 @@ bisection.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .wpoly import QHPoly, gradient, hessian, milnor_number, value
+from .wpoly import QHPoly, _solve, gradient, hessian, milnor_number, value
 
 __all__ = [
     "MorseError",
@@ -49,6 +51,7 @@ class MorseData:
     hessian_min_singular_value: tuple[float, ...]
     ordering: tuple[int, ...]       # by increasing Im(value); tied Im by Re
     im_ties: tuple[tuple[int, int], ...]
+    n_newton: int                   # Newton iterations (Hessian solves) made
 
     @property
     def mu(self) -> int:
@@ -59,73 +62,66 @@ class MorseData:
 
 
 def perturbed_value(W: QHPoly, b, u) -> complex:
-    u = np.asarray(u, dtype=complex)
-    return value(W, u) + complex(np.dot(np.asarray(b, dtype=complex), u))
+    return value(W, u) + complex(sum(map(mul, b, u)))
 
 
 def perturbed_gradient(W: QHPoly, b, u) -> np.ndarray:
     return gradient(W, u) + np.asarray(b, dtype=complex)
 
 
-def _newton(W: QHPoly, b, u0, max_iter: int = 80) -> np.ndarray | None:
-    u = np.asarray(u0, dtype=complex).copy()
-    for _ in range(max_iter):
-        g = perturbed_gradient(W, b, u)
-        if np.linalg.norm(g) < GRAD_TOL:
-            return u
-        H = hessian(W, u)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
+def _norm(v) -> float:
+    return math.hypot(*map(abs, v))
+
+
+def _newton(W: QHPoly, b, u0, max_iter: int = 80) -> tuple[list[complex] | None, int]:
+    """Damped Newton for grad W + b = 0 from u0: (the root or None, iterations).
+
+    Runs on lists of Python complex; b is a sequence of N complex.
+    """
+    u = [complex(c) for c in u0]
+    for k in range(max_iter):
+        g = list(map(add, W.gradient_values(u), b))
+        if _norm(g) < GRAD_TOL:
+            return u, k
+        step = _solve(W.hessian_values(u), g)
+        norm = math.inf if step is None else _norm(step)
+        if not math.isfinite(norm):
+            return None, k + 1
         # Damping keeps wild starts from exploding.
-        norm = np.linalg.norm(step)
         if norm > 10.0:
-            step *= 10.0 / norm
-        u = u - step
-    g = perturbed_gradient(W, b, u)
-    return u if np.linalg.norm(g) < GRAD_TOL else None
+            step = [c * (10.0 / norm) for c in step]
+        u = list(map(sub, u, step))
+    g = map(add, W.gradient_values(u), b)
+    return (u if _norm(g) < GRAD_TOL else None), max_iter
 
 
-def _canonical_sort(points: list[np.ndarray]) -> list[np.ndarray]:
+def _add_root(roots: list[list[complex]], u: list[complex] | None) -> None:
+    """Append u to roots unless it is None or within SEPARATION of one of them."""
+    if u is not None and all(_norm(list(map(sub, u, r))) >= SEPARATION for r in roots):
+        roots.append(u)
+
+
+def _canonical_sort(points: list[list[complex]]) -> list[list[complex]]:
     return sorted(points,
                   key=lambda p: tuple(x for c in p for x in (round(c.real, 9), round(c.imag, 9))))
 
 
-def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> MorseData:
-    """All critical points of W + sum b_i x_i, certified by count.
+def _multistart(W: QHPoly, b: tuple[complex, ...], seed: int) -> tuple[list[list[complex]], int]:
+    """Distinct critical points of W + sum b_i x_i from seeded Newton starts.
 
-    Multistart Newton with starts on concentric spheres scaled by the
-    perturbation size; completeness is certified by comparing the count
-    of distinct converged roots with the Milnor number.
+    Starts lie on concentric spheres scaled by the perturbation size; the
+    search stops at the Milnor number of W or after NEWTON_STARTS starts.
+    Returns the roots and the Newton iterations made.
     """
-    b = tuple(complex(v) for v in b)
-    n = W.n_vars
-    if len(b) != n:
-        raise ValueError(f"len(b) = {len(b)} does not match n_vars = {n}")
     mu = milnor_number(W)
-    if all(v == 0 for v in b) and mu > 0:
-        raise MorseError("not W-regular: unperturbed W has a degenerate critical point at 0")
-
+    n = W.n_vars
     rng = np.random.default_rng(seed)
     scale = max(np.linalg.norm(b), 1e-12)
     # Weighted scaling ||b||^q keeps starts near the root cluster.
     radii = [0.5, 1.0, 2.0, 4.0]
     q_scales = np.array([scale ** float(q) for q in W.weights])
-
-    roots: list[np.ndarray] = []
-
-    def try_start(u0):
-        u = _newton(W, b, u0)
-        if u is None:
-            return
-        for r in roots:
-            if np.linalg.norm(u - r) < SEPARATION:
-                return
-        roots.append(u)
-
+    roots: list[list[complex]] = []
+    iterations = 0
     budget = NEWTON_STARTS
     for radius in itertools.cycle(radii):
         if len(roots) >= mu or budget <= 0:
@@ -133,10 +129,56 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> Mors
         for _ in range(16):
             d = rng.normal(size=n) + 1j * rng.normal(size=n)
             d /= np.linalg.norm(d)
-            try_start(radius * q_scales * d)
+            u, k = _newton(W, b, (radius * q_scales * d).tolist())
+            _add_root(roots, u)
+            iterations += k
             budget -= 1
             if len(roots) >= mu:
                 break
+    return roots, iterations
+
+
+def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> MorseData:
+    """All critical points of W + sum b_i x_i, certified by count.
+
+    Multistart Newton finds the critical points of each summand of W (a
+    block of variables that no monomial mixes) on its own.  On a direct
+    sum their products are polished by Newton on the whole of W
+    (Thom-Sebastiani).  Completeness is certified by comparing the count
+    of distinct roots with the Milnor number.
+    """
+    b = tuple(complex(v) for v in b)
+    n = W.n_vars
+    if len(b) != n:
+        raise ValueError(f"len(b) = {len(b)} does not match n_vars = {n}")
+    mu = milnor_number(W)
+    blocks = W.summands
+    for block in blocks:
+        if not any(b[v] for v in block):
+            names = ", ".join(f"x{v + 1}" for v in block)
+            raise MorseError("not W-regular: " + (
+                "unperturbed W has a degenerate critical point at 0" if len(blocks) == 1 else
+                f"b = 0 on the summand of W in {names}, which has a degenerate critical point at 0"))
+
+    if len(blocks) == 1:
+        roots, iterations = _multistart(W, b, seed)
+    else:
+        parts, iterations = [], 0
+        for block in blocks:
+            pts, k = _multistart(W.restrict(block), tuple(b[v] for v in block), seed)
+            parts.append(pts)
+            iterations += k
+        # Thom-Sebastiani: the critical points of W are the products of its
+        # summands' critical points; Newton on all of W polishes each product.
+        roots = []
+        for combo in itertools.product(*parts):
+            u = [0j] * n
+            for block, pt in zip(blocks, combo):
+                for v, c in zip(block, pt):
+                    u[v] = c
+            u, k = _newton(W, b, u)
+            _add_root(roots, u)
+            iterations += k
 
     if len(roots) != mu:
         raise MorseError(
@@ -164,7 +206,8 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> Mors
                      critical_values=tuple(values),
                      hessian_min_singular_value=tuple(min_svs),
                      ordering=tuple(order),
-                     im_ties=ties)
+                     im_ties=ties,
+                     n_newton=iterations)
 
 
 def is_strongly_regular(m: MorseData) -> tuple[bool, tuple[int, int] | None]:
@@ -177,8 +220,8 @@ def is_strongly_regular(m: MorseData) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def _track_roots(W: QHPoly, points: list[np.ndarray],
-                 b_new) -> list[np.ndarray] | None:
+def _track_roots(W: QHPoly, points: list[list[complex]],
+                 b_new: list[complex]) -> list[list[complex]] | None:
     """One continuation step: polish previous roots at the new parameter.
 
     Returns None when a root is lost or two tracked roots collide,
@@ -186,20 +229,19 @@ def _track_roots(W: QHPoly, points: list[np.ndarray],
     """
     new_points = []
     for u in points:
-        v = _newton(W, b_new, u)
+        v, _ = _newton(W, b_new, u)
         if v is None:
             return None
         new_points.append(v)
-    # Nearest-neighbor integrity: motion must stay well below the gap.
-    min_gap = np.inf
-    for i in range(len(new_points)):
-        for j in range(i + 1, len(new_points)):
-            min_gap = min(min_gap, np.linalg.norm(new_points[i] - new_points[j]))
-    if len(new_points) > 1 and min_gap < SEPARATION:
-        return None
-    max_motion = max(np.linalg.norm(v - u) for u, v in zip(points, new_points))
-    if len(new_points) > 1 and max_motion * 4.0 > min_gap:
-        return None
+    if len(new_points) > 1:
+        # Nearest-neighbor integrity: motion must stay well below the gap.
+        min_gap = min(_norm(list(map(sub, p, q)))
+                      for p, q in itertools.combinations(new_points, 2))
+        if min_gap < SEPARATION:
+            return None
+        max_motion = max(_norm(list(map(sub, u, v))) for u, v in zip(points, new_points))
+        if max_motion * 4.0 > min_gap:
+            return None
     return new_points
 
 
@@ -220,13 +262,15 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
     point (on a direct sum a wall of one summand aligns several pairs at
     once); pairs that share one are refused as non-generic.
     """
-    b0 = np.asarray(path(0.0), dtype=complex)
-    m0 = find_critical_points(W, b0, seed=seed)
-    points = [np.array(p) for p in m0.critical_points]
+    def b_at(lam):
+        return [complex(c) for c in path(lam)]
+
+    m0 = find_critical_points(W, b_at(0.0), seed=seed)
+    points = [list(p) for p in m0.critical_points]
     mu = len(points)
 
     def im_gaps(pts, lam):
-        b = np.asarray(path(lam), dtype=complex)
+        b = b_at(lam)
         vals = [perturbed_value(W, b, u) for u in pts]
         return {(i, j): vals[i].imag - vals[j].imag
                 for i in range(mu) for j in range(i + 1, mu)}
@@ -235,8 +279,7 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
         """Continue all roots from lam_from to lam_to, halving on failure."""
         if depth > 40:
             raise MorseError(f"loss of tracked root near lambda={lam_from:.6g}")
-        b_new = np.asarray(path(lam_to), dtype=complex)
-        nxt = _track_roots(W, pts, b_new)
+        nxt = _track_roots(W, pts, b_at(lam_to))
         if nxt is not None:
             return nxt
         mid = 0.5 * (lam_from + lam_to)

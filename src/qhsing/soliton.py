@@ -264,18 +264,6 @@ def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
     return lifts
 
 
-def _summands(W: QHPoly) -> list[set[int]]:
-    """Variable blocks of W that no monomial mixes (its Thom-Sebastiani summands)."""
-    blocks: list[set[int]] = []
-    for row in W.exponents:
-        block = {v for v, e in enumerate(row) if e}
-        for other in [bl for bl in blocks if bl & block]:
-            blocks.remove(other)
-            block |= other
-        blocks.append(block)
-    return blocks
-
-
 def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int) -> int:
     """Number of distinct flow lines from critical point i to j.
 
@@ -297,7 +285,7 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int) -> int:
     if not a_i.real < a_j.real:
         raise ValueError("need Re alpha_i < Re alpha_j")
     k_i, k_j = m.critical_points[i], m.critical_points[j]
-    moving = [bl for bl in _summands(W)
+    moving = [bl for bl in W.summands
               if max(abs(k_i[v] - k_j[v]) for v in bl) > SEPARATION]
     if len(moving) != 1:
         raise ValueError(f"no certified count: the pair moves in {len(moving)} summands "
@@ -306,9 +294,8 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int) -> int:
         raise ValueError(f"no certified count: the pair moves in a summand of "
                          f"{len(moving[0])} variables, and only one-variable summands are counted")
     v, = moving[0]
-    W_v = QHPoly.from_monomials(1, [((row[v],), c) for row, c in zip(W.exponents, W.coeffs)
-                                    if row[v]])
-    return int(sum(arrives for _, _, arrives in _lifts(W_v, m.b[v], k_i[v], k_j[v])))
+    return int(sum(arrives for _, _, arrives in _lifts(W.restrict(moving[0]), m.b[v],
+                                                       k_i[v], k_j[v])))
 
 
 def energy_identity_check(W: QHPoly, b, traj: FlowTrajectory,

@@ -11,10 +11,12 @@ double-precision complex.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -110,6 +112,69 @@ class QHPoly:
                 total += c
             g.append(total)
         return g
+
+    @cached_property
+    def hessian_terms(self) -> tuple[tuple[int, int, tuple[tuple[complex, tuple], ...]], ...]:
+        """Per entry i <= j, (i, j, terms) with the terms of d2W/du_i du_j.
+
+        Each term is (c * e_i * (e_j - [i == j]), ((k, p), ...)), like a
+        gradient term.  Built on first use.
+        """
+        n = self.n_vars
+        table: dict[tuple[int, int], list] = {(i, j): [] for i in range(n) for j in range(i, n)}
+        for row, c in zip(self.exponents, self.coeffs):
+            for (i, j), terms in table.items():
+                factor = row[i] * (row[j] - (i == j))
+                if factor:
+                    powers = [(k, ek - (k == i) - (k == j)) for k, ek in enumerate(row)]
+                    terms.append((c * factor, tuple((k, p) for k, p in powers if p)))
+        return tuple((i, j, tuple(terms)) for (i, j), terms in table.items())
+
+    def hessian_values(self, u) -> list[list[complex]]:
+        """The symmetric N x N Hessian of W at u, as rows of Python complex.
+
+        u is as for gradient_values.  This is the one evaluator of the
+        Hessian.
+        """
+        n = self.n_vars
+        H = [[0j] * n for _ in range(n)]
+        for i, j, terms in self.hessian_terms:
+            total = 0j
+            for c, powers in terms:
+                for k, p in powers:
+                    c *= u[k] ** p
+                total += c
+            H[i][j] = H[j][i] = total
+        return H
+
+    @cached_property
+    def summands(self) -> tuple[tuple[int, ...], ...]:
+        """Variable blocks that no monomial mixes (the Thom-Sebastiani summands).
+
+        Each block lists its variables in ascending order; the blocks are
+        ordered by their first variable.
+        """
+        blocks: list[set[int]] = []
+        for row in self.exponents:
+            block = {v for v, e in enumerate(row) if e}
+            for other in [bl for bl in blocks if bl & block]:
+                blocks.remove(other)
+                block |= other
+            blocks.append(block)
+        return tuple(sorted(tuple(sorted(bl)) for bl in blocks))
+
+    def restrict(self, block: Sequence[int]) -> "QHPoly":
+        """The part of W in the variables of block, renumbered in block order.
+
+        block must be a union of summands; otherwise a restricted monomial
+        fails the weight check.
+        """
+        rows = [(tuple(row[v] for v in block), c)
+                for row, c in zip(self.exponents, self.coeffs) if any(row[v] for v in block)]
+        return QHPoly(n_vars=len(block),
+                      exponents=tuple(r for r, _ in rows),
+                      coeffs=tuple(c for _, c in rows),
+                      weights=tuple(self.weights[v] for v in block))
 
     @staticmethod
     def from_monomials(n_vars: int,
@@ -275,7 +340,7 @@ def _as_vector(W: QHPoly, u) -> np.ndarray:
 
 def value(W: QHPoly, u) -> complex:
     """Evaluate W at the complex point u."""
-    u = _as_vector(W, u)
+    u = _as_vector(W, u).tolist()
     total = 0j
     for row, c in zip(W.exponents, W.coeffs):
         term = c
@@ -293,26 +358,31 @@ def gradient(W: QHPoly, u) -> np.ndarray:
 
 def hessian(W: QHPoly, u) -> np.ndarray:
     """Second holomorphic derivative matrix at u (symmetric)."""
-    u = _as_vector(W, u)
-    H = np.zeros((W.n_vars, W.n_vars), dtype=complex)
-    for row, c in zip(W.exponents, W.coeffs):
-        for i, ei in enumerate(row):
-            for j, ej in enumerate(row):
-                if i == j:
-                    if ei < 2:
-                        continue
-                    factor = ei * (ei - 1)
-                else:
-                    if ei == 0 or ej == 0:
-                        continue
-                    factor = ei * ej
-                term = c * factor
-                for k, ek in enumerate(row):
-                    p = ek - (1 if k == i else 0) - (1 if k == j else 0)
-                    if p:
-                        term *= u[k] ** p
-                H[i, j] += term
-    return H
+    return np.array(W.hessian_values(_as_vector(W, u).tolist()), dtype=complex)
+
+
+def _solve(A: list[list[complex]], y: list[complex]) -> list[complex] | None:
+    """x with A x = y, by Gaussian elimination with partial pivoting.
+
+    A is a list of N rows of N Python complex and y a list of N; neither
+    is changed.  Returns None when a pivot is exactly zero (A singular).
+    """
+    n = len(y)
+    M = [list(row) + [v] for row, v in zip(A, y)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(M[r][c])) if c + 1 < n else c
+        pivot = M[p]
+        if pivot[c] == 0:
+            return None
+        M[p], M[c] = M[c], pivot
+        for r in range(c + 1, n):
+            f = M[r][c] / pivot[c]
+            M[r] = [a - f * e for a, e in zip(M[r], pivot)]
+    x = [0j] * n
+    for c in range(n - 1, -1, -1):
+        row = M[c]
+        x[c] = (row[n] - sum(map(mul, row[c + 1:n], x[c + 1:]))) / row[c]
+    return x
 
 
 def growth_exponents(W: QHPoly) -> tuple[Fraction, ...]:
@@ -347,25 +417,21 @@ def check_nondegenerate(W: QHPoly, radius: float = 4.0, n_starts: int = 200,
     for _ in range(n_starts):
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         u *= radius * rng.random() ** (1.0 / (2 * n)) / max(np.linalg.norm(u), 1e-30)
+        u = u.tolist()
         for _ in range(60):
-            g = gradient(W, u)
-            if np.linalg.norm(g) < tol:
+            g = W.gradient_values(u)
+            if math.hypot(*map(abs, g)) < tol:
                 break
-            H = hessian(W, u)
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
+            step = _solve(W.hessian_values(u), g)
+            if step is None or not math.isfinite(math.hypot(*map(abs, step))):
                 break
-            if not np.all(np.isfinite(step)):
-                break
-            u = u - step
+            u = [a - s for a, s in zip(u, step)]
         else:
             continue
         # Newton on a degenerate origin stalls at the sqrt(tol) scale, so
         # anything inside 1e-3 counts as the origin itself.
-        if (np.linalg.norm(gradient(W, u)) < tol
-                and np.linalg.norm(u) > 1e-3
-                and np.linalg.norm(u) < radius):
+        if (math.hypot(*map(abs, W.gradient_values(u))) < tol
+                and 1e-3 < math.hypot(*map(abs, u)) < radius):
             return False
     return True
 

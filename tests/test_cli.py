@@ -100,6 +100,13 @@ class TestMorseCommands:
         assert status == 2
         assert "error" in out
 
+    def test_perturb_zero_b_on_one_summand_rejected(self, capsys):
+        # y^3 is left unperturbed; Newton stalls near its double points
+        # used to be reported as four critical points.
+        status, out = run(capsys, "perturb", "x^3+y^3", "--b=1,0")
+        assert status == 2
+        assert out.startswith("error ") and "summand of W in x2" in out
+
     @pytest.mark.parametrize("argv", [
         ("perturb", "x^3+y^3", "--b=1"),
         ("perturb", "x^3", "--b=1,2"),

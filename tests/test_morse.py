@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
@@ -53,6 +54,44 @@ class TestFindCriticalPoints:
     def test_zero_perturbation_rejected(self):
         with pytest.raises(MorseError):
             find_critical_points(parse_polynomial("x^3"), [0.0])
+
+    def test_zero_perturbation_of_one_summand_rejected(self):
+        # b = (1, 0) leaves y^3 unperturbed: its double point at y = 0 is
+        # degenerate, and the refusal names the summand.
+        with pytest.raises(MorseError, match="summand of W in x2"):
+            find_critical_points(parse_polynomial("x^3+y^3"), [1.0, 0.0])
+
+    @pytest.mark.parametrize("b", [
+        (-1.481148 - 0.439745j, 0.560264 - 0.853592j, 0.016294 + 2.171815j),
+        (-0.743675 + 2.490586j, -0.989697 - 0.391968j, -0.151097 - 2.819326j),
+    ])
+    def test_fermat_quartic_sum_products(self, b):
+        # x^4 + y^4 + z^4: the critical points are all 27 products of the
+        # roots of 4 x^3 + b_i = 0.  A 200-start multistart over the whole
+        # sum used to find only 26 of them at these b.
+        m = find_critical_points(parse_polynomial("x^4+y^4+z^4"), b)
+        roots = [[(-c / 4) ** (1 / 3) * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
+                 for c in b]
+        want = sorted(itertools.product(*roots), key=lambda p: [(c.real, c.imag) for c in p])
+        got = list(m.critical_points)
+        assert m.mu == len(want) == 27
+        for w in want:
+            k = min(range(len(got)), key=lambda k: np.linalg.norm(np.subtract(got[k], w)))
+            assert np.linalg.norm(np.subtract(got.pop(k), w)) < 1e-9
+        assert m.n_newton > 0
+
+    @pytest.mark.parametrize("text", ["x^3+y^3", "x^3+y^4", "x^3+x*y^2+z^3"])
+    def test_direct_sum_matches_whole_multistart(self, text):
+        # Reference: the seeded multistart over all of W at once.
+        W = parse_polynomial(text)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            b = tuple(complex(c) for c in rng.normal(size=W.n_vars) + 1j * rng.normal(size=W.n_vars))
+            ref, _ = morse._multistart(W, b, 0)
+            m = find_critical_points(W, b)
+            assert len(ref) == m.mu == milnor_number(W)
+            for u in ref:
+                assert min(np.linalg.norm(np.subtract(u, p)) for p in m.critical_points) < 1e-10
 
     def test_ordering_by_imaginary_part(self):
         W = parse_polynomial("x^4")

@@ -122,6 +122,64 @@ class TestCalculus:
             H = hessian(W, u)
             assert np.allclose(H, H.T)
 
+    @pytest.mark.parametrize("text", ["x^5", "x^3+y^4+z^3", "x^4+x*y^3", "x^3*y+x*y^4"])
+    def test_hessian_table_matches_monomial_loop(self, text):
+        # Reference: the per-monomial loop the term table replaced.  The
+        # arithmetic is the same, so the entries agree exactly.
+        def by_monomials(W, u):
+            H = np.zeros((W.n_vars, W.n_vars), dtype=complex)
+            for row, c in zip(W.exponents, W.coeffs):
+                for i, ei in enumerate(row):
+                    for j, ej in enumerate(row):
+                        factor = ei * (ei - 1) if i == j else ei * ej
+                        if not factor:
+                            continue
+                        term = c * factor
+                        for k, ek in enumerate(row):
+                            p = ek - (k == i) - (k == j)
+                            if p:
+                                term *= u[k] ** p
+                        H[i, j] += term
+            return H
+
+        W = parse_polynomial(text)
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            u = rng.normal(size=W.n_vars) + 1j * rng.normal(size=W.n_vars)
+            H = hessian(W, u)
+            assert type(H) is np.ndarray and H.dtype == complex
+            assert np.array_equal(H, by_monomials(W, u))
+
+    def test_solve_matches_numpy(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 3, 4):
+            for _ in range(10):
+                A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                y = rng.normal(size=n) + 1j * rng.normal(size=n)
+                x = wpoly._solve(A.tolist(), y.tolist())
+                assert np.allclose(x, np.linalg.solve(A, y), rtol=1e-12, atol=1e-12)
+        # A zero leading entry: the first column must be pivoted.
+        A = [[0j, 1 + 1j, 2], [3 - 1j, 1, 0.5j], [1, 2j, -1]]
+        y = [1j, 2, -3 + 1j]
+        assert np.allclose(wpoly._solve(A, y), np.linalg.solve(A, y), rtol=1e-14)
+        assert A[0] == [0j, 1 + 1j, 2] and y == [1j, 2, -3 + 1j]  # inputs unchanged
+
+    @pytest.mark.parametrize("A", [[[0j]], [[0, 1], [0, 2]], [[1, 2], [2, 4]],
+                                   [[2, 1, 1], [4, 2, 2], [1, 3, 5j]]])
+    def test_solve_singular_is_none(self, A):
+        assert wpoly._solve(A, [1j] * len(A)) is None
+
+    def test_summands_and_restriction(self):
+        W = parse_polynomial("x^3 + x*y^2 + z^4")
+        assert W.summands == ((0, 1), (2,))
+        V = W.restrict((0, 1))
+        assert V.n_vars == 2 and V.weights == W.weights[:2]
+        assert V.exponents == ((1, 2), (3, 0)) and V.coeffs == (1, 1)
+        assert W.restrict((2,)).exponents == ((4,),)
+        assert parse_polynomial("x^3*y + x*y^4").summands == ((0, 1),)
+        with pytest.raises(WeightError):
+            W.restrict((1,))  # x*y^2 restricted to y is not of weight 1
+
     def test_dimension_mismatch(self):
         W = parse_polynomial("x^3")
         with pytest.raises(ValueError):
