@@ -81,20 +81,36 @@ class QHPoly:
             if total != 1:
                 raise WeightError(f"monomial {row} has weight {total} != 1")
 
+    def _derivative_terms(self, *vs: int) -> tuple[tuple[complex, tuple], ...]:
+        """The terms (c', ((k, p), ...)) of the derivative of W in the variables vs.
+
+        Each term is its coefficient c' (a monomial's coefficient times the
+        integer factor the derivatives bring down) times the product of
+        u_k ** p over the listed (k, p), all p > 0.
+        """
+        terms = []
+        for row, c in zip(self.exponents, self.coeffs):
+            factor, powers = 1, list(row)
+            for v in vs:
+                factor *= powers[v]
+                powers[v] -= 1
+            if factor:
+                terms.append((c * factor, tuple((k, p) for k, p in enumerate(powers) if p)))
+        return tuple(terms)
+
     @cached_property
     def gradient_terms(self) -> tuple[tuple[tuple[complex, tuple], ...], ...]:
-        """Per variable i, the terms (c * e_i, ((k, p), ...)) of dW/du_i.
+        """Per variable i, the terms of dW/du_i.  Built on first use."""
+        return tuple(self._derivative_terms(i) for i in range(self.n_vars))
 
-        Each term is its coefficient times the product of u_k ** p over
-        the listed (k, p), all p > 0.  Built on first use.
+    @cached_property
+    def hessian_terms(self) -> tuple[tuple[tuple[complex, tuple], ...], ...]:
+        """Per entry (i, j) in row-major order, the terms of d2W/du_i du_j.
+
+        Built on first use.
         """
-        table: list[list] = [[] for _ in range(self.n_vars)]
-        for row, c in zip(self.exponents, self.coeffs):
-            for i, e in enumerate(row):
-                if e:
-                    powers = [(k, ek - (k == i)) for k, ek in enumerate(row)]
-                    table[i].append((c * e, tuple((k, p) for k, p in powers if p)))
-        return tuple(map(tuple, table))
+        n = self.n_vars
+        return tuple(self._derivative_terms(i, j) for i in range(n) for j in range(n))
 
     def gradient_values(self, u) -> list[complex]:
         """dW/du_1, ..., dW/du_N at u, from the gradient term table.
@@ -103,32 +119,7 @@ class QHPoly:
         past the N-th are ignored.  This is the one evaluator of the
         gradient.
         """
-        g = []
-        for terms in self.gradient_terms:
-            total = 0j
-            for c, powers in terms:
-                for k, p in powers:
-                    c *= u[k] ** p
-                total += c
-            g.append(total)
-        return g
-
-    @cached_property
-    def hessian_terms(self) -> tuple[tuple[int, int, tuple[tuple[complex, tuple], ...]], ...]:
-        """Per entry i <= j, (i, j, terms) with the terms of d2W/du_i du_j.
-
-        Each term is (c * e_i * (e_j - [i == j]), ((k, p), ...)), like a
-        gradient term.  Built on first use.
-        """
-        n = self.n_vars
-        table: dict[tuple[int, int], list] = {(i, j): [] for i in range(n) for j in range(i, n)}
-        for row, c in zip(self.exponents, self.coeffs):
-            for (i, j), terms in table.items():
-                factor = row[i] * (row[j] - (i == j))
-                if factor:
-                    powers = [(k, ek - (k == i) - (k == j)) for k, ek in enumerate(row)]
-                    terms.append((c * factor, tuple((k, p) for k, p in powers if p)))
-        return tuple((i, j, tuple(terms)) for (i, j), terms in table.items())
+        return _term_sums(self.gradient_terms, u)
 
     def hessian_values(self, u) -> list[list[complex]]:
         """The symmetric N x N Hessian of W at u, as rows of Python complex.
@@ -137,15 +128,8 @@ class QHPoly:
         Hessian.
         """
         n = self.n_vars
-        H = [[0j] * n for _ in range(n)]
-        for i, j, terms in self.hessian_terms:
-            total = 0j
-            for c, powers in terms:
-                for k, p in powers:
-                    c *= u[k] ** p
-                total += c
-            H[i][j] = H[j][i] = total
-        return H
+        flat = _term_sums(self.hessian_terms, u)
+        return [flat[i * n:(i + 1) * n] for i in range(n)]
 
     @cached_property
     def summands(self) -> tuple[tuple[int, ...], ...]:
@@ -216,6 +200,19 @@ class QHPoly:
                 head = f"({c.real:g}{c.imag:+g}i)*"
             parts.append(head + "*".join(factors))
         return " + ".join(parts)
+
+
+def _term_sums(table, u) -> list[complex]:
+    """Per entry of a term table, the sum of its terms at u (Python complex)."""
+    sums = []
+    for terms in table:
+        total = 0j
+        for c, powers in terms:
+            for k, p in powers:
+                c *= u[k] ** p
+            total += c
+        sums.append(total)
+    return sums
 
 
 def compute_weights(B: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
