@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .wpoly import QHPoly, _solve, gradient, hessian, milnor_number, value
+from .wpoly import QHPoly, _norm, _solve, gradient, hessian, milnor_number, value
 
 __all__ = [
     "MorseError",
@@ -69,10 +69,6 @@ def perturbed_gradient(W: QHPoly, b, u) -> np.ndarray:
     return gradient(W, u) + np.asarray(b, dtype=complex)
 
 
-def _norm(v) -> float:
-    return math.hypot(*map(abs, v))
-
-
 def _newton(W: QHPoly, b, u0, max_iter: int = 80) -> tuple[list[complex] | None, int]:
     """Damped Newton for grad W + b = 0 from u0: (the root or None, iterations).
 
@@ -97,7 +93,7 @@ def _newton(W: QHPoly, b, u0, max_iter: int = 80) -> tuple[list[complex] | None,
 
 def _add_root(roots: list[list[complex]], u: list[complex] | None) -> None:
     """Append u to roots unless it is None or within SEPARATION of one of them."""
-    if u is not None and all(_norm(list(map(sub, u, r))) >= SEPARATION for r in roots):
+    if u is not None and all(_norm(map(sub, u, r)) >= SEPARATION for r in roots):
         roots.append(u)
 
 
@@ -235,11 +231,11 @@ def _track_roots(W: QHPoly, points: list[list[complex]],
         new_points.append(v)
     if len(new_points) > 1:
         # Nearest-neighbor integrity: motion must stay well below the gap.
-        min_gap = min(_norm(list(map(sub, p, q)))
+        min_gap = min(_norm(map(sub, p, q))
                       for p, q in itertools.combinations(new_points, 2))
         if min_gap < SEPARATION:
             return None
-        max_motion = max(_norm(list(map(sub, u, v))) for u, v in zip(points, new_points))
+        max_motion = max(_norm(map(sub, u, v)) for u, v in zip(points, new_points))
         if max_motion * 4.0 > min_gap:
             return None
     return new_points

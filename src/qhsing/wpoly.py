@@ -358,6 +358,11 @@ def hessian(W: QHPoly, u) -> np.ndarray:
     return np.array(W.hessian_values(_as_vector(W, u).tolist()), dtype=complex)
 
 
+def _norm(v) -> float:
+    """Euclidean norm of an iterable of Python complex."""
+    return math.hypot(*map(abs, v))
+
+
 def _solve(A: list[list[complex]], y: list[complex]) -> list[complex] | None:
     """x with A x = y, by Gaussian elimination with partial pivoting.
 
@@ -417,18 +422,17 @@ def check_nondegenerate(W: QHPoly, radius: float = 4.0, n_starts: int = 200,
         u = u.tolist()
         for _ in range(60):
             g = W.gradient_values(u)
-            if math.hypot(*map(abs, g)) < tol:
+            if _norm(g) < tol:
                 break
             step = _solve(W.hessian_values(u), g)
-            if step is None or not math.isfinite(math.hypot(*map(abs, step))):
+            if step is None or not math.isfinite(_norm(step)):
                 break
             u = [a - s for a, s in zip(u, step)]
         else:
             continue
         # Newton on a degenerate origin stalls at the sqrt(tol) scale, so
         # anything inside 1e-3 counts as the origin itself.
-        if (math.hypot(*map(abs, W.gradient_values(u))) < tol
-                and 1e-3 < math.hypot(*map(abs, u)) < radius):
+        if _norm(W.gradient_values(u)) < tol and 1e-3 < _norm(u) < radius:
             return False
     return True
 
