@@ -109,6 +109,9 @@ def _parse_path(expr: str):
 
 def cmd_analyze(args, out):
     W = wpoly.parse_polynomial(args.polynomial)
+    if I := wpoly.degenerate_support(W):
+        raise DomainError("degenerate W (support test): positive-dimensional critical set "
+                          "on span{" + ",".join(f"x{k + 1}" for k in I) + "}")
     out.append(f"polynomial {W.text()}")
     out.append(f"n_vars {W.n_vars}")
     out.append("weights " + ",".join(_fmt(q) for q in W.weights))

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate as sp_integrate
 
-from .wpoly import QHPoly, hessian
+from .wpoly import QHPoly, _solve, hessian
 from .morse import SEPARATION, MorseData, perturbed_gradient, perturbed_value
 
 __all__ = [
@@ -52,6 +52,8 @@ LIFT_STEP = 1.0 / 16    # largest continuation step in s
 LIFT_MIN_STEP = 1e-12   # step-halving floor; below it the lift is refused
 LIFT_XTOL = 1e-6        # Newton step bound, relative to the start offset
 LIFT_MATCH = 0.25       # end match radius, relative to the model offset
+WITTEN_MAX_ITER = 50    # Newton steps per start of witten_vanishing_check
+WITTEN_ZERO = 1e-6      # max |v| of a field that counts as the zero field
 
 
 @dataclass(frozen=True)
@@ -326,14 +328,6 @@ class CylinderField:
     s_grid: np.ndarray
     mode_values: np.ndarray         # shape (n_modes, len(s_grid)), complex
 
-    def evaluate(self, s: float, ang: float) -> complex:
-        total = 0j
-        for n, prof in zip(self.mode_numbers, self.mode_values):
-            val = complex(np.interp(s, self.s_grid, prof.real)
-                          + 1j * np.interp(s, self.s_grid, prof.imag))
-            total += val * np.exp(-1j * n * ang)
-        return total
-
 
 def fourier_bounded_solution(theta: float,
                              forcing: dict[int, Callable[[float], complex]],
@@ -378,19 +372,6 @@ def fourier_bounded_solution(theta: float,
                          s_grid=s_grid, mode_values=values)
 
 
-def homogeneous_field(theta: float, coeffs: dict[int, complex],
-                      s_grid: Sequence[float]) -> CylinderField:
-    """Homogeneous bounded solution sum C_n e^{-(n+Theta)s} e^{-i n ang}."""
-    if any(n < 0 for n in coeffs):
-        raise ValueError("bounded homogeneous solutions have no negative modes")
-    s_grid = np.asarray(s_grid, dtype=float)
-    modes = sorted(coeffs)
-    values = np.array([[coeffs[n] * np.exp(-(n + theta) * s) for s in s_grid]
-                       for n in modes], dtype=complex)
-    return CylinderField(theta=theta, mode_numbers=tuple(modes),
-                         s_grid=s_grid, mode_values=values)
-
-
 def homogeneous_decay_check(theta: float, coeffs: dict[int, complex],
                             T: float, n_s: int = 64, n_ang: int = 64
                             ) -> tuple[float, float]:
@@ -423,63 +404,69 @@ def homogeneous_decay_check(theta: float, coeffs: dict[int, complex],
     return slope, violation
 
 
+def _witten_newton(W: QHPoly, theta: float, h: float, v, tol: float):
+    """(verdict, last iterate) of Newton from the start v, n_grid lists of N complex."""
+    n = W.n_vars
+    cI = [[1 / h + theta if i == j else 0j for j in range(n)] for i in range(n)]
+    for _ in range(WITTEN_MAX_ITER):
+        # Block forward substitution: d[0] = r[0] = v[0], then block k solves
+        # c a + 2 conj(H a) = r[k] + d[k-1]/h as a system in (a, conj a).
+        d = [v[0]]
+        for prev, vk in zip(v, v[1:]):
+            try:
+                g, H = W.gradient_values(vk), W.hessian_values(vk)
+            except OverflowError:  # complex ** raises on some overflows, nan on others
+                return "unconverged", v
+            rhs = [(a - p) / h + theta * a + 2 * gi.conjugate() + di / h
+                   for a, p, gi, di in zip(vk, prev, g, d[-1])]
+            A = ([row + [2 * x.conjugate() for x in hrow] for row, hrow in zip(cI, H)]
+                 + [[2 * x for x in hrow] + row for row, hrow in zip(cI, H)])
+            a = _solve(A, rhs + [x.conjugate() for x in rhs])
+            if a is None:
+                return "unconverged", v
+            d.append(a[:n])
+        v = [[a - b for a, b in zip(vk, dk)] for vk, dk in zip(v, d)]
+        size = max(abs(a) for vk in v for a in vk)
+        bound = tol * max(1.0, size)
+        if all(abs(a) <= bound for dk in d for a in dk):  # False on nan, which max skips
+            return ("zero" if size <= WITTEN_ZERO else "nonzero"), v
+    return "unconverged", v
+
+
 def witten_vanishing_check(W: QHPoly, theta: float, n_grid: int = 32,
                            s_max: float = 8.0, n_starts: int = 50,
                            start_scale: float = 0.02, seed: int = 0,
                            tol: float = 1e-8) -> bool:
     """Newton on the discretized twisted flow finds only the zero field.
 
-    Models a Neveu-Schwarz-only configuration: every variable carries a
-    positive twist, so the equation d_s v + Theta v + 2 conj(grad W(v))
-    = 0 on a finite interval with decaying (zero) boundary values
-    should admit only v = 0.  Returns True when all random small starts
-    converge to the zero field.
+    In the Neveu-Schwarz sector every variable carries a positive twist,
+    so d_s v + Theta v + 2 conj(grad W(v)) = 0 on [-s_max, s_max] with
+    zero boundary value should admit only v = 0.  With step h the
+    backward-difference residual, r[0] = v[0] and r[k] = (v[k] - v[k-1])/h
+    + Theta v[k] + 2 conj(grad W(v[k])), is block lower-triangular: its
+    exact real-linear Jacobian has diagonal blocks c I + 2 conj(H(v[k]) .),
+    c = 1/h + Theta, and sub-diagonal blocks -I/h, so a Newton step is one
+    forward substitution of n_grid small solves.  Each seeded start ends
+    converged (step <= tol * max(1, max |v|)) to zero (max |v| <=
+    WITTEN_ZERO), converged to a nonzero field, or unconverged (a singular
+    block, an overflow, or WITTEN_MAX_ITER steps).  Returns True only when
+    every start converged to zero.
 
-    The discrete system also has roots of amplitude ~ 1/(grid step)
-    that do not survive grid refinement; the start scale must stay well
-    below that branch for the continuum statement to be probed.
+    The discrete system also has mesh-scale roots that do not survive
+    refinement: for x^3 a node after zero nodes solves c v + 6 conj(v)^2
+    = 0, with nonzero roots of modulus c/6.  Starts that reach that branch
+    fail the check, so start_scale must stay well below it.
     """
     if not (0 < theta < 1):
         raise ValueError("Theta must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     n = W.n_vars
-    s = np.linspace(-s_max, s_max, n_grid)
-    h = s[1] - s[0]
-    dim = n_grid * n  # complex unknowns
-
-    from .wpoly import gradient as _grad
-
-    def residual(v):
-        # v shape (n_grid, n).  Backward differences keep the discrete
-        # system well posed as a marching scheme from the zero boundary
-        # value; central differences would admit mesh-scale spurious
-        # solutions unrelated to the continuum equation.
-        r = np.zeros_like(v)
-        r[0] = v[0]
-        for k in range(1, n_grid):
-            r[k] = (v[k] - v[k - 1]) / h + theta * v[k] + 2.0 * np.conj(_grad(W, v[k]))
-        return r
-
-    def to_real(v):
-        return np.concatenate([v.real.ravel(), v.imag.ravel()])
-
-    def from_real(x):
-        half = dim
-        return (x[:half] + 1j * x[half:]).reshape(n_grid, n)
-
-    from scipy.optimize import fsolve
-
-    ok = True
+    h = float(np.diff(np.linspace(-s_max, s_max, n_grid))[0])
     for _ in range(n_starts):
         v0 = start_scale * (rng.normal(size=(n_grid, n)) + 1j * rng.normal(size=(n_grid, n)))
-        x, info, ier, _ = fsolve(lambda x: to_real(residual(from_real(x))),
-                                 to_real(v0), full_output=True, xtol=1e-12)
-        if ier != 1:
-            continue  # no solution found from this start; nothing nonzero located
-        v = from_real(x)
-        if np.max(np.abs(v)) > 1e-6:
-            ok = False
-    return ok
+        if _witten_newton(W, theta, h, v0.tolist(), tol)[0] != "zero":
+            return False
+    return True
 
 
 def a1_bounded_spectrum_empty(epsilon: float, n_max: int = 16) -> bool:
@@ -497,18 +484,3 @@ def a1_bounded_spectrum_empty(epsilon: float, n_max: int = 16) -> bool:
             return False
     return True
 
-
-def trajectory_report(traj: FlowTrajectory) -> str:
-    """Structured-text export of a trajectory."""
-    lines = [
-        f"n_samples {traj.n_steps}",
-        f"im_value {traj.im_value:.12g}",
-        f"im_drift {traj.im_drift:.12g}",
-        f"re_monotone {str(traj.re_monotone).lower()}",
-        f"endpoint_backward {traj.endpoints[0] if traj.endpoints[0] is not None else 'escaped'}",
-        f"endpoint_forward {traj.endpoints[1] if traj.endpoints[1] is not None else 'escaped'}",
-    ]
-    for s, u in zip(traj.s, traj.u):
-        pt = ",".join(f"{c.real:.12g}{c.imag:+.12g}i" for c in u)
-        lines.append(f"sample {s:.12g} {pt}")
-    return "\n".join(lines) + "\n"

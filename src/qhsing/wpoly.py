@@ -11,6 +11,7 @@ double-precision complex.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ __all__ = [
     "hessian",
     "growth_exponents",
     "milnor_number",
+    "degenerate_support",
     "check_nondegenerate",
 ]
 
@@ -406,14 +408,36 @@ def milnor_number(W: QHPoly) -> int:
     return int(prod)
 
 
+def degenerate_support(W: QHPoly) -> tuple[int, ...] | None:
+    """The first variable set I, by size and then lexicographically, failing the support test.
+
+    I fails when fewer than |I| variables k have a monomial equal to x_k
+    times a monomial in I's variables (the necessary half of Kreuzer-Skarke,
+    Commun. Math. Phys. 150, 1992): every other dW/dx_k vanishes on the
+    coordinate subspace of I, so the critical set there has positive
+    dimension whatever the coefficients.  None when every I passes.
+    """
+    n = W.n_vars
+    # Per variable k, the variable sets of the monomials m with x_k * m in W.
+    cofactors = [[{j for j in range(n) if row[j] > (j == k)} for row in W.exponents if row[k]]
+                 for k in range(n)]
+    for size in range(1, n + 1):
+        for I in map(set, itertools.combinations(range(n), size)):
+            if sum(any(m <= I for m in ms) for ms in cofactors) < size:
+                return tuple(sorted(I))
+    return None
+
+
 def check_nondegenerate(W: QHPoly, radius: float = 4.0, n_starts: int = 200,
                         seed: int = 0, tol: float = 1e-10) -> bool:
     """Attest nondegeneracy numerically.
 
-    Runs a Newton multistart for critical points of the unperturbed W
-    inside the given ball; returns True when no critical point other
-    than the origin is found.  This is evidence, not a proof.
+    False if W fails the support test; otherwise a Newton multistart for
+    critical points of the unperturbed W inside the given ball returns True
+    when it finds none but the origin.  This is evidence, not a proof.
     """
+    if degenerate_support(W):
+        return False
     rng = np.random.default_rng(seed)
     n = W.n_vars
     for _ in range(n_starts):

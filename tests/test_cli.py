@@ -34,6 +34,12 @@ class TestAnalyze:
         status, _ = run(capsys, "analyze", "x^2")
         assert status == 2
 
+    def test_degenerate_support_is_domain_error(self, capsys):
+        status, out = run(capsys, "analyze", "x^4+x^2*y^2")
+        assert status == 2
+        assert out == ("error degenerate W (support test): positive-dimensional "
+                       "critical set on span{x2}\n")
+
 
 class TestGroupAndSectors:
     def test_group_listing(self, capsys):

@@ -4,18 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import solve_ivp
 
-from qhsing import soliton
+from qhsing import soliton, wpoly
 from qhsing.morse import (detect_wall_crossings, find_critical_points,
                           is_strongly_regular, perturbed_gradient,
                           perturbed_value)
-from qhsing.soliton import (CylinderField, a1_bounded_spectrum_empty,
-                            count_bps_solitons, energy_identity_check,
-                            flow_field, fourier_bounded_solution,
-                            homogeneous_decay_check, homogeneous_field,
-                            integrate_flow, trajectory_report,
-                            witten_vanishing_check)
+from qhsing.soliton import (a1_bounded_spectrum_empty, count_bps_solitons,
+                            energy_identity_check, flow_field,
+                            fourier_bounded_solution, homogeneous_decay_check,
+                            integrate_flow, witten_vanishing_check)
 from qhsing.wpoly import parse_polynomial
 
 
@@ -69,15 +68,6 @@ class TestFlow:
                               critical_points=pts)
         with pytest.raises(ValueError):
             energy_identity_check(W, m.b, traj)
-
-    def test_trajectory_report(self):
-        W, m, i, j = cubic_wall_data()
-        pts = [np.array(p) for p in m.critical_points]
-        traj = integrate_flow(W, m.b, pts[i] + np.array([-1e-3]), (0.0, 60.0),
-                              critical_points=pts)
-        rep = trajectory_report(traj)
-        assert "re_monotone true" in rep
-        assert f"endpoint_forward {j}" in rep
 
 
 def reference_flow(W, b, u0, s_span, critical_points):
@@ -445,17 +435,6 @@ class TestCylinder:
         with pytest.raises(ValueError):
             fourier_bounded_solution(1.5, {}, [0.0])
 
-    def test_evaluate_combines_modes(self):
-        s = np.linspace(0.0, 4.0, 9)
-        field = homogeneous_field(0.5, {0: 1.0, 1: 2.0}, s)
-        val = field.evaluate(1.0, 0.0)
-        want = math.exp(-0.5) + 2.0 * math.exp(-1.5)
-        assert abs(val - want) < 1e-9
-
-    def test_homogeneous_rejects_negative_modes(self):
-        with pytest.raises(ValueError):
-            homogeneous_field(0.5, {-1: 1.0}, [0.0])
-
 
 class TestDecay:
     @pytest.mark.parametrize("theta_num,theta_den", [(1, 4), (1, 3), (1, 2), (2, 3)])
@@ -474,6 +453,36 @@ class TestDecay:
 
 class TestSpectralChecks:
     def test_witten_vanishing_small(self):
+        W = parse_polynomial("x^3")
+        assert witten_vanishing_check(W, theta=1.0 / 3.0, n_starts=5, seed=3)
+
+    def test_witten_mesh_branch_is_nonzero(self):
+        # After zero nodes, the last node of the x^3 system solves
+        # c v + 6 conj(v)^2 = 0, c = 1/h + Theta: a root of modulus c/6.
+        W = parse_polynomial("x^3")
+        theta = 1.0 / 3.0
+        s = np.linspace(-8.0, 8.0, 32)
+        h = float(s[1] - s[0])
+        c = 1 / h + theta
+        v_star = c / 6 * cmath.exp(1j * math.pi / 3)
+        start = [[1e-3]] * 31 + [[v_star + 1e-3]]
+        verdict, v = soliton._witten_newton(W, theta, h, start, 1e-8)
+        assert verdict == "nonzero"
+        assert abs(abs(v[-1][0]) - c / 6) < 1e-12
+
+    @pytest.mark.parametrize("start_scale", [50, 1e200])
+    def test_witten_large_starts_fail(self, start_scale):
+        # 50 reaches the mesh-scale branch; 1e200 overflows to nan and inf.
+        W = parse_polynomial("x^3")
+        assert not witten_vanishing_check(W, 1.0 / 3.0, n_starts=5, start_scale=start_scale,
+                                          seed=0)
+
+    def test_witten_uses_no_fsolve_or_ndarray_gradient(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("slow path called by witten_vanishing_check")
+
+        monkeypatch.setattr(wpoly, "gradient", refuse)
+        monkeypatch.setattr(scipy.optimize, "fsolve", refuse)
         W = parse_polynomial("x^3")
         assert witten_vanishing_check(W, theta=1.0 / 3.0, n_starts=5, seed=3)
 

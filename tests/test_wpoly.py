@@ -271,3 +271,18 @@ class TestMilnor:
     @pytest.mark.parametrize("text", CORPUS)
     def test_nondegeneracy_attestation(self, text):
         assert wpoly.check_nondegenerate(parse_polynomial(text), n_starts=100)
+
+    def test_support_test_finds_degenerate_line(self):
+        # dW/dx vanishes on x = 0, and no monomial is y times a power of y,
+        # so dW/dy does too: the whole line x = 0 is critical.
+        W = parse_polynomial("x^4+x^2*y^2")
+        assert wpoly.degenerate_support(W) == (1,)
+        assert not wpoly.check_nondegenerate(W, n_starts=0)
+
+    # The corpus (which holds the README polynomials) and the bench shapes:
+    # Fermat sums, chains x^a + x*y^b and loops x^a*y + x*y^b.
+    @pytest.mark.parametrize("text", CORPUS + [
+        "x^5", "x^6", "x^3+y^4", "x^4+y^5", "x^3+y^3+z^3", "x^3+y^4+z^4",
+        "x^5+x*y^2", "x^2*y+x*y^3", "x^3*y+x*y^3", "x^3*y+x*y^4"])
+    def test_support_test_passes_isolated_singularities(self, text):
+        assert wpoly.degenerate_support(parse_polynomial(text)) is None
