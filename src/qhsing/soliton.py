@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate as sp_integrate
 
-from .wpoly import QHPoly, _solve, hessian
+from .wpoly import QHPoly, _norm, _solve, hessian
 from .morse import SEPARATION, MorseData, perturbed_gradient, perturbed_value
 
 __all__ = [
@@ -98,11 +98,6 @@ def _rms(v) -> float:
     return math.sqrt(sum(abs(x) ** 2 for x in v)) / len(v) ** 0.5
 
 
-def _combine(y, K, w, h):
-    """y + h * sum_j w_j K_j on lists of Python complex."""
-    return [a + sum(map(mul, ks, w)) * h for a, ks in zip(y, zip(*K))]
-
-
 def _initial_step(rhs, y, f, span: float) -> float:
     """Hairer-Norsett-Wanner II.4 starting step for an order-4 error estimate."""
     scale = [FLOW_ATOL + abs(a) * FLOW_RTOL for a in y]
@@ -120,25 +115,27 @@ def _dp_step(rhs, s: float, y, f, h_abs: float, s_end: float):
     """One accepted Dormand-Prince 5(4) step: (s, y, f, next |h|)."""
     min_step = 10 * (math.nextafter(s, math.inf) - s)
     h_abs = max(h_abs, min_step)
-    rejected = False
+    u, rejected = y[:-1], False  # stage points omit the energy slot: rhs never reads it
     while True:
-        if h_abs < min_step:
-            raise RuntimeError("integration failed: Required step size is less "
-                               "than spacing between numbers.")
+        if not min_step <= h_abs < math.inf:  # too small, or not finite
+            raise RuntimeError(f"integration failed: step size {h_abs:.3g} at s={s:.6g}")
         s_new = min(s + h_abs, s_end)
         h = h_abs = s_new - s
-        K = [f]
+        K = [[k] for k in f]  # per component, its stage values so far
         for a in _DP_A:
-            K.append(rhs(_combine(y, K, a, h)))
-        y_new = _combine(y, K, _DP_B, h)
-        K.append(rhs(y_new))
-        err = [sum(map(mul, ks, _DP_E)) * h for ks in zip(*K)]
-        error_norm = _rms([e / (FLOW_ATOL + max(abs(a), abs(c)) * FLOW_RTOL)
-                           for e, a, c in zip(err, y, y_new)])
+            for ks, k in zip(K, rhs([c + sum(map(mul, ks, a)) * h for c, ks in zip(u, K)])):
+                ks.append(k)
+        y_new = [c + sum(map(mul, ks, _DP_B)) * h for c, ks in zip(y, K)]
+        f_new, scaled = rhs(y_new), []
+        for ks, k, c, c_new in zip(K, f_new, y, y_new):
+            ks.append(k)
+            scaled.append(sum(map(mul, ks, _DP_E)) * h
+                          / (FLOW_ATOL + max(abs(c), abs(c_new)) * FLOW_RTOL))
+        error_norm = _rms(scaled)
         if error_norm < 1:
             factor = _MAX_FACTOR if error_norm == 0 else min(
                 _MAX_FACTOR, _SAFETY * error_norm ** -0.2)
-            return s_new, y_new, K[-1], h_abs * (min(1, factor) if rejected else factor)
+            return s_new, y_new, f_new, h_abs * (min(1, factor) if rejected else factor)
         h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
         rejected = True
 
@@ -147,24 +144,25 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
                    critical_points: Sequence[np.ndarray] = ()) -> FlowTrajectory:
     """Adaptive Dormand-Prince 5(4) integration of the BPS flow on s_span.
 
-    The step-size controller is that of scipy's RK45 at FLOW_RTOL and
-    FLOW_ATOL.  After each accepted step the flow stops if the step
-    entered the capture sphere of a supplied critical point (one that
-    does not hold u0) or left the escape sphere far beyond the critical
-    cluster; that step's end is the last sample.  The Im conservation and
-    Re monotonicity invariants are verified on the samples afterwards.
+    b and u0 hold N finite complex numbers.  The step-size controller is
+    that of scipy's RK45 at FLOW_RTOL and FLOW_ATOL.  After each accepted
+    step the flow stops if the step entered the capture sphere of a
+    supplied critical point (one that does not hold u0) or left the escape
+    sphere far beyond the critical cluster; that step's end is the last
+    sample.  The Im conservation and Re monotonicity invariants are
+    verified on the samples.  An overflow raises RuntimeError.
     """
     s0, s1 = (float(t) for t in s_span)
-    if not s1 > s0:
-        raise ValueError(f"need s_span with s1 > s0, got {s_span}")
-    u0 = np.asarray(u0, dtype=complex)
+    u0, b = np.asarray(u0, dtype=complex), np.asarray(b, dtype=complex)
     if u0.shape != (W.n_vars,):
         raise ValueError(f"expected vector of length {W.n_vars}, got shape {u0.shape}")
-    b = np.asarray(b, dtype=complex)
-    bl = np.broadcast_to(b, u0.shape).tolist()
+    if b.shape != u0.shape:
+        raise ValueError(f"expected b of length {W.n_vars}, got shape {b.shape}")
+    if not (np.isfinite(np.concatenate([u0, b, [s0, s1]])).all() and s1 > s0):
+        raise ValueError(f"need finite u0, b and s_span with s1 > s0, got {u0}, {b}, {s_span}")
+    bl = b.tolist()
     pts = [np.asarray(p, dtype=complex) for p in critical_points]
-    max_norm = max((np.linalg.norm(p) for p in pts), default=1.0)
-    escape_radius = 10.0 * max(max_norm, 1.0)
+    escape_radius = 10.0 * max(max((np.linalg.norm(p) for p in pts), default=1.0), 1.0)
     # Do not stop on departure from the start point's own sphere.
     targets = [p.tolist() for p in pts if np.linalg.norm(u0 - p) > CAPTURE_RADIUS]
     n_rhs = 0
@@ -173,47 +171,47 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
         # Last slot accumulates the energy integrand sum |grad|^2.
         nonlocal n_rhs
         n_rhs += 1
-        g = list(map(add, W.gradient_values(y), bl))
-        return [2.0 * a.conjugate() for a in g] + [complex(sum([abs(a) ** 2 for a in g]))]
-
-    def norm(v):
-        return math.sqrt(sum(abs(a) ** 2 for a in v))
+        f, sq = [], []
+        for a in map(add, W.gradient_values(y), bl):
+            f.append(2.0 * a.conjugate())
+            sq.append(abs(a) ** 2)
+        f.append(complex(sum(sq)))
+        return f
 
     y = u0.tolist() + [0j]
-    f = rhs(y)
-    h_abs = _initial_step(rhs, y, f, s1 - s0)
     s, svals, ys = s0, [s0], [y]
-    inside = norm(y[:-1]) <= escape_radius
-    while s < s1:
-        s, y, f, h_abs = _dp_step(rhs, s, y, f, h_abs, s1)
-        svals.append(s)
-        ys.append(y)
-        r = norm(y[:-1])
-        if (inside and r >= escape_radius) or any(
-                norm([a - c for a, c in zip(y, p)]) <= CAPTURE_RADIUS for p in targets):
-            break
-        inside = r <= escape_radius
+    try:
+        f = rhs(y)
+        h_abs = _initial_step(rhs, y, f, s1 - s0)
+        inside = _norm(y[:-1]) <= escape_radius
+        while s < s1:
+            s, y, f, h_abs = _dp_step(rhs, s, y, f, h_abs, s1)
+            svals.append(s)
+            ys.append(y)
+            r = _norm(y[:-1])
+            if (inside and r >= escape_radius) or any(
+                    _norm(map(sub, y, p)) <= CAPTURE_RADIUS for p in targets):
+                break
+            inside = r <= escape_radius
+        wvals = np.array([W.value_at(y) + sum(map(mul, bl, y)) for y in ys])
+    except OverflowError:  # complex ** raises on some overflows, nan on others
+        raise RuntimeError(f"integration overflows by s={s:.6g}") from None
     samples = np.array([y[:-1] for y in ys])
-    energy = ys[-1][-1].real
-    svals = np.array(svals)
-    wvals = np.array([perturbed_value(W, b, u) for u in samples])
     im0 = float(wvals[0].imag)
     drift = float(np.max(np.abs(wvals.imag - im0)))
     scale = max(1.0, float(np.max(np.abs(wvals))))
-    re_diffs = np.diff(wvals.real)
-    re_mono = bool(np.all(re_diffs >= -RE_MONOTONE_TOL * scale))
-    final = samples[-1]
-    escaped = bool(np.linalg.norm(final) >= escape_radius * 0.999)
-    fwd = None if escaped else _classify_endpoint(final, pts)
+    re_mono = bool(np.all(np.diff(wvals.real) >= -RE_MONOTONE_TOL * scale))
+    escaped = bool(np.linalg.norm(samples[-1]) >= escape_radius * 0.999)
+    fwd = None if escaped else _classify_endpoint(samples[-1], pts)
     # Shooting orbits start a small offset away from their departure
     # point; classify the backward end with a matching radius.
     bwd = _classify_endpoint(samples[0], pts, radius=2e-3)
     if drift > IM_DRIFT_TOL * scale:
         raise RuntimeError(f"Im drift {drift:.3e} exceeds tolerance")
-    return FlowTrajectory(s=svals, u=samples, im_value=im0, im_drift=drift,
+    return FlowTrajectory(s=np.array(svals), u=samples, im_value=im0, im_drift=drift,
                           re_monotone=re_mono, endpoints=(bwd, fwd),
                           escaped=escaped, n_steps=len(svals),
-                          energy_integral=energy, n_rhs=n_rhs)
+                          energy_integral=ys[-1][-1].real, n_rhs=n_rhs)
 
 
 def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex

@@ -101,6 +101,11 @@ class QHPoly:
         return tuple(terms)
 
     @cached_property
+    def value_terms(self) -> tuple[tuple[tuple[complex, tuple], ...]]:
+        """The terms of W itself, as a one-entry term table.  Built on first use."""
+        return (self._derivative_terms(),)
+
+    @cached_property
     def gradient_terms(self) -> tuple[tuple[tuple[complex, tuple], ...], ...]:
         """Per variable i, the terms of dW/du_i.  Built on first use."""
         return tuple(self._derivative_terms(i) for i in range(self.n_vars))
@@ -113,6 +118,10 @@ class QHPoly:
         """
         n = self.n_vars
         return tuple(self._derivative_terms(i, j) for i in range(n) for j in range(n))
+
+    def value_at(self, u) -> complex:
+        """W at u, from the value term table; u is as for gradient_values."""
+        return _term_sums(self.value_terms, u)[0]
 
     def gradient_values(self, u) -> list[complex]:
         """dW/du_1, ..., dW/du_N at u, from the gradient term table.
@@ -338,16 +347,8 @@ def _as_vector(W: QHPoly, u) -> np.ndarray:
 
 
 def value(W: QHPoly, u) -> complex:
-    """Evaluate W at the complex point u."""
-    u = _as_vector(W, u).tolist()
-    total = 0j
-    for row, c in zip(W.exponents, W.coeffs):
-        term = c
-        for ui, e in zip(u, row):
-            if e:
-                term *= ui ** e
-        total += term
-    return total
+    """W at the complex point u, summed from its value term table (the zeroth derivative)."""
+    return W.value_at(_as_vector(W, u).tolist())
 
 
 def gradient(W: QHPoly, u) -> np.ndarray:

@@ -1,6 +1,8 @@
 import cmath
 import math
+import signal
 from dataclasses import replace
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -202,6 +204,183 @@ class TestStepperAgainstSolveIvp:
         W = parse_polynomial("x^3")
         with pytest.raises(ValueError, match="s1 > s0"):
             integrate_flow(W, [3.0], np.array([0.3 + 0.2j]), span)
+
+
+def _combine(y, K, w, h):
+    """y + h * sum_j w_j K_j on lists of Python complex."""
+    return [a + sum(map(mul, ks, w)) * h for a, ks in zip(y, zip(*K))]
+
+
+def reference_dp_step(rhs, s, y, f, h_abs, s_end):
+    """One accepted Dormand-Prince 5(4) step, as integrate_flow took it
+    before it kept the stage values per component.
+
+    It transposes the stage values for every combination and builds every
+    stage point with the energy slot.  It is kept here as the reference
+    the stepper must match bit for bit.
+    """
+    min_step = 10 * (math.nextafter(s, math.inf) - s)
+    h_abs = max(h_abs, min_step)
+    rejected = False
+    while True:
+        if h_abs < min_step:
+            raise RuntimeError("step size underflow")
+        s_new = min(s + h_abs, s_end)
+        h = h_abs = s_new - s
+        K = [f]
+        for a in soliton._DP_A:
+            K.append(rhs(_combine(y, K, a, h)))
+        y_new = _combine(y, K, soliton._DP_B, h)
+        K.append(rhs(y_new))
+        err = [sum(map(mul, ks, soliton._DP_E)) * h for ks in zip(*K)]
+        scale = [soliton.FLOW_ATOL + max(abs(a), abs(c)) * soliton.FLOW_RTOL
+                 for a, c in zip(y, y_new)]
+        error_norm = soliton._rms([e / sc for e, sc in zip(err, scale)])
+        if error_norm < 1:
+            factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.2)
+            return s_new, y_new, K[-1], h_abs * (min(1, factor) if rejected else factor)
+        h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+        rejected = True
+
+
+def reference_dp_flow(W, b, u0, s_span, critical_points):
+    """The fields of integrate_flow's trajectory, stepped by reference_dp_step.
+
+    The right-hand side, the capture and escape tests and the invariant
+    check through perturbed_value are those integrate_flow had with that
+    step.
+    """
+    b = np.asarray(b, dtype=complex)
+    bl = b.tolist()
+    pts = [np.asarray(p, dtype=complex) for p in critical_points]
+    escape_radius = 10.0 * max(max((np.linalg.norm(p) for p in pts), default=1.0), 1.0)
+    targets = [p.tolist() for p in pts if np.linalg.norm(u0 - p) > soliton.CAPTURE_RADIUS]
+    n_rhs = 0
+
+    def rhs(y):
+        nonlocal n_rhs
+        n_rhs += 1
+        g = list(map(add, W.gradient_values(y), bl))
+        return [2.0 * a.conjugate() for a in g] + [complex(sum([abs(a) ** 2 for a in g]))]
+
+    def norm(v):
+        return math.sqrt(sum(abs(a) ** 2 for a in v))
+
+    s0, s1 = s_span
+    y = np.asarray(u0, dtype=complex).tolist() + [0j]
+    f = rhs(y)
+    h_abs = soliton._initial_step(rhs, y, f, s1 - s0)
+    s, svals, ys = s0, [s0], [y]
+    inside = norm(y[:-1]) <= escape_radius
+    while s < s1:
+        s, y, f, h_abs = reference_dp_step(rhs, s, y, f, h_abs, s1)
+        svals.append(s)
+        ys.append(y)
+        r = norm(y[:-1])
+        if (inside and r >= escape_radius) or any(
+                norm([a - c for a, c in zip(y, p)]) <= soliton.CAPTURE_RADIUS for p in targets):
+            break
+        inside = r <= escape_radius
+    samples = np.array([y[:-1] for y in ys])
+    wvals = np.array([perturbed_value(W, b, u) for u in samples])
+    escaped = bool(np.linalg.norm(samples[-1]) >= escape_radius * 0.999)
+    fwd = None if escaped else soliton._classify_endpoint(samples[-1], pts)
+    bwd = soliton._classify_endpoint(samples[0], pts, radius=2e-3)
+    return dict(s=np.array(svals), u=samples, energy_integral=ys[-1][-1].real,
+                n_steps=len(svals), n_rhs=n_rhs,
+                im_drift=float(np.max(np.abs(wvals.imag - float(wvals[0].imag)))),
+                endpoints=(bwd, fwd), escaped=escaped)
+
+
+def bench_style_shots(n, seed):
+    """(W, b, u0, critical points) of 1e-3 starts around a critical point of x^n + b x.
+
+    b is seeded and strongly regular; the starts are 16 evenly spaced
+    angles, kept where Re(W + W0) rises.
+    """
+    W = parse_polynomial(f"x^{n}")
+    rng = np.random.default_rng(seed)
+    while True:
+        b = [complex(*(2 * rng.normal(size=2)))]
+        m = find_critical_points(W, b)
+        if is_strongly_regular(m)[0]:
+            break
+    pts = [np.array(p) for p in m.critical_points]
+    i = int(rng.integers(len(pts)))
+    angles = np.linspace(0, 2 * np.pi, 16, endpoint=False)
+    starts = [pts[i] + 1e-3 * np.exp(1j * a) for a in angles]
+    return [(W, b, u0, pts) for u0 in starts
+            if (perturbed_value(W, b, u0) - m.critical_values[i]).real > 0]
+
+
+class TestStepperAgainstReference:
+    @staticmethod
+    def assert_same(shots):
+        for W, b, u0, pts, span in shots:
+            traj = integrate_flow(W, b, u0, span, critical_points=pts)
+            ref = reference_dp_flow(W, b, u0, span, pts)
+            assert np.array_equal(traj.s, ref["s"]) and np.array_equal(traj.u, ref["u"])
+            for field in ("energy_integral", "n_steps", "n_rhs", "im_drift",
+                          "endpoints", "escaped"):
+                assert getattr(traj, field) == ref[field], field
+
+    @pytest.mark.parametrize("text, seed", [("x^3", 1), ("x^4", 2), ("x^3+y^3", 3)])
+    def test_reference_shots_bit_for_bit(self, text, seed):
+        shots = [(*shot, (0.0, 40.0)) for shot in reference_shots(text, seed)]
+        shots.append((*shots[0][:4], (0.0, 0.05)))
+        self.assert_same(shots)
+
+    @pytest.mark.parametrize("n, seed", [(3, 4), (4, 5)])
+    def test_bench_style_shots_bit_for_bit(self, n, seed):
+        shots = bench_style_shots(n, seed)
+        assert len(shots) >= 6
+        self.assert_same([(*shot, (0.0, 40.0)) for shot in shots])
+
+
+@pytest.fixture
+def alarm():
+    """Turn a call that does not return within 10 s into a TimeoutError."""
+    def expire(signum, frame):
+        raise TimeoutError("no return within 10 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestFlowInput:
+    @pytest.mark.parametrize("b, u0, span", [
+        ([3.0], [complex("nan")], (0.0, 1.0)),
+        ([3.0], [complex("inf")], (0.0, 1.0)),
+        ([math.nan], [0.3 + 0.2j], (0.0, 1.0)),
+        ([math.inf], [0.3 + 0.2j], (0.0, 1.0)),
+        ([3.0], [0.3 + 0.2j], (0.0, math.inf)),
+        ([3.0], [0.3 + 0.2j], (math.nan, 1.0)),
+    ])
+    def test_non_finite_input_refused(self, alarm, b, u0, span):
+        W = parse_polynomial("x^3")
+        with pytest.raises(ValueError, match="finite"):
+            integrate_flow(W, b, np.array(u0), span)
+
+    def test_non_finite_step_size_raises(self, alarm):
+        def rhs(y):
+            return [2.0 * y[0].conjugate(), 0j]
+        with pytest.raises(RuntimeError, match="step size nan at s=0"):
+            soliton._dp_step(rhs, 0.0, [1j, 0j], rhs([1j, 0j]), math.nan, 1.0)
+
+    @pytest.mark.parametrize("b", [[3.0], [3.0, 1.0, 2.0], 3.0])
+    def test_b_of_wrong_length_refused(self, b):
+        W = parse_polynomial("x^3+y^3")
+        with pytest.raises(ValueError, match="expected b of length 2"):
+            integrate_flow(W, b, np.array([0.3, 0.2j]), (0.0, 1.0))
+
+    @pytest.mark.parametrize("u0", [1e200, 1e150])
+    def test_overflow_is_a_runtime_error_naming_s(self, u0):
+        # At 1e200 the gradient overflows, at 1e150 only W does.
+        W = parse_polynomial("x^3")
+        with pytest.raises(RuntimeError, match="overflows by s=0"):
+            integrate_flow(W, [3.0], np.array([complex(u0)]), (0.0, 1.0))
 
 
 class TestCounting:

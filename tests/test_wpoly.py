@@ -150,6 +150,33 @@ class TestCalculus:
             assert type(H) is np.ndarray and H.dtype == complex
             assert np.array_equal(H, by_monomials(W, u))
 
+    @pytest.mark.parametrize("text", ["x^3", "x^5+y^3+z^4", "x^3*y+y^4", "x^3*y+x*y^4",
+                                      "(1+2i)*x^4 - (0.5-1i)*x*y^3 + 3i*z^3"])
+    def test_value_table_matches_monomial_loop(self, text):
+        # Reference: the per-monomial loop the value term table replaced.
+        # It multiplies in the same order, so the values agree bit for bit.
+        def by_monomials(W, u):
+            total = 0j
+            for row, c in zip(W.exponents, W.coeffs):
+                term = c
+                for ui, e in zip(u, row):
+                    if e:
+                        term *= ui ** e
+                total += term
+            return total
+
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        W = parse_polynomial(text)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            u = (rng.normal(size=W.n_vars) + 1j * rng.normal(size=W.n_vars)).tolist()
+            v = value(W, u)
+            assert type(v) is complex
+            assert bits(v) == bits(by_monomials(W, u)) == bits(W.value_at(u))
+        assert W.value_terms == (W._derivative_terms(),)
+
     def test_solve_matches_numpy(self):
         rng = np.random.default_rng(12)
         for n in (1, 2, 3, 4):
