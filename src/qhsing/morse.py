@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .wpoly import QHPoly, _norm, _solve, gradient, hessian, milnor_number, value
+from .wpoly import QHPoly, _norm, _solve, gradient, milnor_number, value
 
 __all__ = [
     "MorseError",
@@ -56,9 +56,6 @@ class MorseData:
     @property
     def mu(self) -> int:
         return len(self.critical_points)
-
-    def ordered_values(self) -> list[complex]:
-        return [self.critical_values[i] for i in self.ordering]
 
 
 def perturbed_value(W: QHPoly, b, u) -> complex:
@@ -182,12 +179,9 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> Mors
 
     roots = _canonical_sort(roots)
     values = [perturbed_value(W, b, u) for u in roots]
-    min_svs = []
-    for u in roots:
-        sv = np.linalg.svd(hessian(W, u), compute_uv=False)
-        min_svs.append(float(sv[-1]))
-        if sv[-1] <= HESS_MIN_SV:
-            raise MorseError("not W-regular: degenerate Hessian at a critical point")
+    min_svs = [float(np.linalg.svd(W.hessian_values(u), compute_uv=False)[-1]) for u in roots]
+    if min(min_svs) <= HESS_MIN_SV:
+        raise MorseError("not W-regular: degenerate Hessian at a critical point")
 
     tie_tol = 1e-9 * max((abs(v) for v in values), default=1.0)
     ties = tuple((i, j) for i in range(mu) for j in range(i + 1, mu)

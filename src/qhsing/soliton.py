@@ -17,21 +17,21 @@ checked against Theta.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate as sp_integrate
+from numpy.polynomial.legendre import leggauss
 
-from .wpoly import QHPoly, _norm, _solve, hessian
-from .morse import SEPARATION, MorseData, perturbed_gradient, perturbed_value
+from .wpoly import QHPoly, _norm, _solve
+from .morse import SEPARATION, MorseData, perturbed_value
 
 __all__ = [
     "FlowTrajectory",
     "CylinderField",
-    "flow_field",
     "integrate_flow",
     "count_bps_solitons",
     "energy_identity_check",
@@ -54,6 +54,10 @@ LIFT_XTOL = 1e-6        # Newton step bound, relative to the start offset
 LIFT_MATCH = 0.25       # end match radius, relative to the model offset
 WITTEN_MAX_ITER = 50    # Newton steps per start of witten_vanishing_check
 WITTEN_ZERO = 1e-6      # max |v| of a field that counts as the zero field
+SUPPORT = 50.0          # fourier_bounded_solution integrates the forcing over [-SUPPORT, SUPPORT]
+QUAD_RTOL = 1e-10       # summed |20-point - 10-point| bound, relative to the integral of |f|
+QUAD_PANELS = 400       # panel budget of one integral; past it, ValueError
+_GAUSS = tuple(tuple(a.tolist() for a in leggauss(k)) for k in (20, 10))  # (nodes, weights) each
 
 
 @dataclass(frozen=True)
@@ -80,11 +84,6 @@ _DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
 _DP_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-
-
-def flow_field(W: QHPoly, b, u) -> np.ndarray:
-    """Right-hand side 2 * conj(grad(W + W0)) of the BPS flow."""
-    return 2.0 * np.conj(perturbed_gradient(W, b, u))
 
 
 def _classify_endpoint(u, critical_points, radius=CAPTURE_RADIUS * 10) -> int | None:
@@ -226,17 +225,16 @@ def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
     tenth of the step.  It arrives if it ends on a model root at k_j; a
     lift that stalls or ends near k_j off the model raises ValueError.
     """
-    b = [b]
-    a_i = perturbed_value(W, b, [k_i])
-    delta = perturbed_value(W, b, [k_j]) - a_i
-    d_i = np.sqrt(2 * LIFT_END * delta / hessian(W, [k_i])[0, 0])
-    d_j = np.sqrt(-2 * LIFT_END * delta / hessian(W, [k_j])[0, 0])
+    a_i = W.value_at([k_i]) + b * k_i
+    delta = W.value_at([k_j]) + b * k_j - a_i
+    d_i = cmath.sqrt(2 * LIFT_END * delta / W.hessian_values([k_i])[0][0])
+    d_j = cmath.sqrt(-2 * LIFT_END * delta / W.hessian_values([k_j])[0][0])
     tol = LIFT_XTOL * abs(d_i)
 
     def root(x, s):
         """Newton on (W + W0)(x) = alpha_i + s delta; None if unsettled."""
         for _ in range(8):
-            dx = (perturbed_value(W, b, [x]) - a_i - s * delta) / perturbed_gradient(W, b, [x])[0]
+            dx = (W.value_at([x]) + b * x - a_i - s * delta) / (W.gradient_values([x])[0] + b)
             x -= dx
             if abs(dx) <= tol:
                 return x
@@ -250,7 +248,7 @@ def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
             if x is None or ds < LIFT_MIN_STEP:
                 raise ValueError(f"path lift stalls at s={s:.6g}")
             s_next = 0.5 if s < 0.5 < s + ds else min(s + ds, 1 - LIFT_END)
-            pred = x + (s_next - s) * delta / perturbed_gradient(W, b, [x])[0]
+            pred = x + (s_next - s) * delta / (W.gradient_values([x])[0] + b)
             nxt = root(pred, s_next)
             if nxt is None or abs(nxt - pred) > 0.1 * abs(pred - x):
                 ds *= 0.5
@@ -327,45 +325,61 @@ class CylinderField:
     mode_values: np.ndarray         # shape (n_modes, len(s_grid)), complex
 
 
+def _integral(f, a: float, b: float) -> complex:
+    """Integral of the complex function f over [a, b], a <= b, by adaptive Gauss-Legendre.
+
+    The panels start at most 1 wide.  The one whose 10- and 20-point sums
+    disagree most is halved until the disagreements sum to at most
+    QUAD_RTOL times the integral of |f|; the 20-point sums are returned.
+    Needing more than QUAD_PANELS panels raises ValueError.
+    """
+    def panel(lo, hi):  # (|I20 - I10|, lo, hi, I20, the 20-point integral of |f|)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        (x20, w20), (x10, w10) = _GAUSS
+        vals = [f(mid + half * x) for x in x20]
+        i20 = half * sum(map(mul, w20, vals))
+        i10 = half * sum(w * f(mid + half * x) for x, w in zip(x10, w10))
+        return abs(i20 - i10), lo, hi, i20, half * sum(map(mul, w20, map(abs, vals)))
+
+    edges = np.linspace(a, b, math.ceil(b - a) + 1).tolist()
+    panels = [panel(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    # `not <=` keeps halving on a nan disagreement until the budget refuses it.
+    while not sum(p[0] for p in panels) <= QUAD_RTOL * sum(p[4] for p in panels):
+        if len(panels) >= QUAD_PANELS:
+            raise ValueError(f"integral does not converge on [{a:.4g}, {b:.4g}]")
+        _, lo, hi, _, _ = panels.pop(panels.index(max(panels)))
+        panels += [panel(lo, 0.5 * (lo + hi)), panel(0.5 * (lo + hi), hi)]
+    return sum(p[3] for p in panels)
+
+
 def fourier_bounded_solution(theta: float,
                              forcing: dict[int, Callable[[float], complex]],
-                             s_grid: Sequence[float],
-                             quad_tol: float = 1e-10,
-                             support: tuple[float, float] = (-50.0, 50.0)
-                             ) -> CylinderField:
+                             s_grid: Sequence[float]) -> CylinderField:
     """Unique bounded solution of (d_s + i d_theta + Theta) v = f.
 
-    The forcing is given mode by mode, f = sum_n rho_n(s) e^{-i n ang}.
-    Mode n >= 0:  v_n(s) = -e^{-(n+Theta)s} * int_s^inf e^{(n+Theta)t} rho_n(t) dt
-    Mode n <= -1: v_n(s) =  e^{-(n+Theta)s} * int_-inf^s e^{(n+Theta)t} rho_n(t) dt
-    Each mode solves v_n' + (n+Theta) v_n = rho_n exactly; the forcing
-    must decay fast enough for the integrals to converge.
+    The forcing is given mode by mode, f = sum_n rho_n(s) e^{-i n ang},
+    and taken to vanish outside [-SUPPORT, SUPPORT].  With lam = n + Theta,
+    Mode n >= 0:  v_n(s) = -e^{-lam s} * int_s^inf e^{lam t} rho_n(t) dt
+    Mode n <= -1: v_n(s) =  e^{-lam s} * int_-inf^s e^{lam t} rho_n(t) dt
+    solves v_n' + lam v_n = rho_n.  One sweep of the grid, from the end
+    where v_n vanishes, carries it to each next point s' by v_n(s') =
+    e^{lam (s - s')} v_n(s) -+ int_[s, s'] e^{lam (t - s')} rho_n(t) dt.
+    A forcing that _integral cannot resolve raises ValueError.
     """
     if not (0 < theta < 1):
         raise ValueError("Theta must lie in (0, 1)")
     s_grid = np.asarray(s_grid, dtype=float)
-    lo, hi = support
     modes = sorted(forcing)
     values = np.zeros((len(modes), len(s_grid)), dtype=complex)
     for row, n in enumerate(modes):
-        lam = n + theta
-        rho = forcing[n]
-
-        def integrand_re(t, lam=lam, rho=rho):
-            return math.exp(lam * t) * rho(t).real if lo <= t <= hi else 0.0
-
-        def integrand_im(t, lam=lam, rho=rho):
-            return math.exp(lam * t) * rho(t).imag if lo <= t <= hi else 0.0
-
-        for col, s in enumerate(s_grid):
-            a, bnd, sign = (max(s, lo), hi, -1.0) if n >= 0 else (lo, min(s, hi), 1.0)
-            if a >= bnd:
-                continue
-            re_val, _ = sp_integrate.quad(integrand_re, a, bnd,
-                                          epsabs=quad_tol, epsrel=quad_tol, limit=400)
-            im_val, _ = sp_integrate.quad(integrand_im, a, bnd,
-                                          epsabs=quad_tol, epsrel=quad_tol, limit=400)
-            values[row, col] = sign * math.exp(-lam * s) * (re_val + 1j * im_val)
+        lam, rho, sign = n + theta, forcing[n], (-1.0 if n >= 0 else 1.0)
+        s, v = -sign * SUPPORT, 0j
+        for col in sorted(range(len(s_grid)), key=lambda k: sign * s_grid[k]):
+            s_new = float(s_grid[col])
+            p = min(max(s_new, -SUPPORT), SUPPORT)  # v_n(s_new) = e^{lam (p - s_new)} v_n(p)
+            v = math.exp(lam * (s - p)) * v + sign * _integral(
+                lambda t: math.exp(lam * (t - p)) * rho(t), *sorted((s, p)))
+            values[row, col], s = math.exp(lam * (p - s_new)) * v, p
     return CylinderField(theta=theta, mode_numbers=tuple(modes),
                          s_grid=s_grid, mode_values=values)
 

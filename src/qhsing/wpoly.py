@@ -10,7 +10,6 @@ double-precision complex.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 import re
@@ -433,14 +432,18 @@ def check_nondegenerate(W: QHPoly, radius: float = 4.0, n_starts: int = 200,
                         seed: int = 0, tol: float = 1e-10) -> bool:
     """Attest nondegeneracy numerically.
 
-    False if W fails the support test; otherwise a Newton multistart for
-    critical points of the unperturbed W inside the given ball returns True
-    when it finds none but the origin.  This is evidence, not a proof.
+    False if W fails the support test.  Otherwise Newton on grad W runs
+    from starts in the given ball, and True is returned unless one ends at
+    a u != 0 whose rescaling rho^-q u, rho = max |u_i|^(1/q_i), is critical
+    too.  The critical set is a cone, as dW/du_i(t^q u) = t^(1-q_i)
+    dW/du_i(u); a Newton stall near a degenerate origin is not on it.
+    This is evidence, not a proof.
     """
     if degenerate_support(W):
         return False
     rng = np.random.default_rng(seed)
     n = W.n_vars
+    qs = [float(q) for q in W.weights]
     for _ in range(n_starts):
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         u *= radius * rng.random() ** (1.0 / (2 * n)) / max(np.linalg.norm(u), 1e-30)
@@ -455,22 +458,10 @@ def check_nondegenerate(W: QHPoly, radius: float = 4.0, n_starts: int = 200,
             u = [a - s for a, s in zip(u, step)]
         else:
             continue
-        # Newton on a degenerate origin stalls at the sqrt(tol) scale, so
-        # anything inside 1e-3 counts as the origin itself.
-        if _norm(W.gradient_values(u)) < tol and 1e-3 < _norm(u) < radius:
+        rho = max(abs(c) ** (1 / q) for c, q in zip(u, qs))
+        if 0 < rho and _norm(W.gradient_values([c / rho ** q for c, q in zip(u, qs)])) < tol:
             return False
     return True
-
-
-def scale_by_phase(W: QHPoly, t: Fraction, u) -> np.ndarray:
-    """Scale coordinate i of u by exp(2*pi*1j * t * q_i).
-
-    With lambda = exp(2*pi*1j*t) this realizes the weighted action
-    lambda^q applied to u, using the principal branch t*q_i.
-    """
-    u = _as_vector(W, u)
-    phases = np.array([cmath.exp(2j * cmath.pi * float(t * q)) for q in W.weights])
-    return phases * u
 
 
 def growth_bound_supremum(W: QHPoly, radius: float, n_samples: int = 10_000,
@@ -487,7 +478,8 @@ def growth_bound_supremum(W: QHPoly, radius: float, n_samples: int = 10_000,
     for _ in range(n_samples):
         u = rng.normal(size=n) + 1j * rng.normal(size=n)
         u *= radius * rng.random() ** (1.0 / (2 * n)) / max(np.linalg.norm(u), 1e-30)
-        denom = float(np.sum(np.abs(gradient(W, u)))) + 1.0
+        u = u.tolist()
+        denom = sum(map(abs, W.gradient_values(u))) + 1.0
         for i in range(n):
             ratio = abs(u[i]) / denom ** deltas[i]
             if ratio > sup:

@@ -14,9 +14,9 @@ from qhsing.morse import (detect_wall_crossings, find_critical_points,
                           is_strongly_regular, perturbed_gradient,
                           perturbed_value)
 from qhsing.soliton import (a1_bounded_spectrum_empty, count_bps_solitons,
-                            energy_identity_check, flow_field,
-                            fourier_bounded_solution, homogeneous_decay_check,
-                            integrate_flow, witten_vanishing_check)
+                            energy_identity_check, fourier_bounded_solution,
+                            homogeneous_decay_check, integrate_flow,
+                            witten_vanishing_check)
 from qhsing.wpoly import parse_polynomial
 
 
@@ -30,12 +30,6 @@ def cubic_wall_data():
 
 
 class TestFlow:
-    def test_flow_field_formula(self):
-        W = parse_polynomial("x^3")
-        v = flow_field(W, [0.0], [1.0 + 1.0j])
-        # 2 * conj(3 u^2) at u = 1+i: 3u^2 = 6i, conj -> -6i, doubled.
-        assert abs(v[0] - (-12j)) < 1e-12
-
     def test_invariants_on_generic_orbit(self):
         W = parse_polynomial("x^3")
         m = find_critical_points(W, [3.0])
@@ -613,6 +607,55 @@ class TestCylinder:
     def test_theta_domain(self):
         with pytest.raises(ValueError):
             fourier_bounded_solution(1.5, {}, [0.0])
+
+    def test_narrow_spike_closed_form(self):
+        # rho = e^{-a (t-c)^2}: v(s) = -e^{-lam s} sqrt(pi/a) e^{lam c + lam^2/(4a)}
+        # * erfc(sqrt(a) (s - c - lam/(2a))) / 2.  At s = -3 this is about
+        # -e^{1.32} sqrt(pi)/100 = -0.066350.
+        theta, a, c = 0.4, 1e4, 0.3
+        s = np.linspace(-3.0, 3.0, 25)
+        field = fourier_bounded_solution(theta, {0: lambda t: math.exp(-a * (t - c) ** 2)}, s)
+        total = math.sqrt(math.pi / a) * math.exp(theta * c + theta ** 2 / (4 * a))
+        want = [-math.exp(-theta * x) * total * 0.5
+                * math.erfc(math.sqrt(a) * (x - c - theta / (2 * a))) for x in s]
+        assert abs(want[0] + 0.066350) < 1e-6
+        assert np.max(np.abs(field.mode_values[0] - want)) < 1e-8
+
+    def test_step_closed_form(self):
+        # rho = 1 on [0.1, 1.1]: v(s) = -(e^{1.1 lam} - e^{lam max(s, 0.1)}) e^{-lam s} / lam
+        # below 1.1 and 0 above; v(-3) is about -4.248890.
+        theta = 0.4
+        s = np.linspace(-3.0, 3.0, 25)
+        field = fourier_bounded_solution(theta, {0: lambda t: 1.0 if 0.1 <= t <= 1.1 else 0.0}, s)
+        want = [-(math.exp(1.1 * theta) - math.exp(theta * max(x, 0.1))) * math.exp(-theta * x)
+                / theta if x < 1.1 else 0.0 for x in s]
+        assert abs(want[0] + 4.248890) < 1e-6
+        assert np.max(np.abs(field.mode_values[0] - want)) < 1e-8
+
+    def test_grid_order_and_support(self):
+        # Columns follow the given grid order; past +-SUPPORT only the
+        # carried homogeneous part remains, as in the integral formulas.
+        theta = 0.4
+        s = np.array([2.0, -60.0, 0.5, 70.0, -1.0])
+        rho = {0: lambda t: math.exp(-t * t), -1: lambda t: math.exp(-t * t)}
+        field = fourier_bounded_solution(theta, rho, s)
+        srt = fourier_bounded_solution(theta, rho, np.sort(s))
+        for row in range(2):
+            assert list(field.mode_values[row][np.argsort(s)]) == list(srt.mode_values[row])
+        assert field.mode_numbers == (-1, 0)
+        neg, pos = field.mode_values
+        lam = theta - 1
+        total = math.sqrt(math.pi) * math.exp(lam ** 2 / 4)
+        assert neg[1] == 0
+        assert neg[3] == pytest.approx(math.exp(-70 * lam) * total, rel=1e-12)
+        total = math.sqrt(math.pi) * math.exp(theta ** 2 / 4)
+        assert pos[3] == 0
+        assert pos[1] == pytest.approx(-math.exp(60 * theta) * total, rel=1e-12)
+
+    def test_unresolved_forcing_is_refused(self, alarm):
+        rho = {0: lambda t: math.sin(1e7 * t) * math.exp(-t * t)}
+        with pytest.raises(ValueError, match="does not converge"):
+            fourier_bounded_solution(0.4, rho, np.linspace(-3.0, 3.0, 25))
 
 
 class TestDecay:
