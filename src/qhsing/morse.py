@@ -31,7 +31,7 @@ __all__ = [
 GRAD_TOL = 1e-10          # Newton residual bound certifying a critical point
 HESS_MIN_SV = 1e-8        # nondegeneracy floor for the Hessian
 SEPARATION = 1e-6         # minimal distance between distinct roots
-NEWTON_STARTS = 200       # random multistart budget of find_critical_points
+NEWTON_STARTS = 200       # default Newton start budget of each multistart
 WALL_STEPS = 200          # continuation grid on the path parameter [0, 1]
 WALL_REFINE_TOL = 1e-14   # bisection width at which a crossing is reported
 
@@ -99,11 +99,12 @@ def _canonical_sort(points: list[list[complex]]) -> list[list[complex]]:
                   key=lambda p: tuple(x for c in p for x in (round(c.real, 9), round(c.imag, 9))))
 
 
-def _multistart(W: QHPoly, b: tuple[complex, ...], seed: int) -> tuple[list[list[complex]], int]:
+def _multistart(W: QHPoly, b: tuple[complex, ...], seed: int,
+                n_starts: int = NEWTON_STARTS) -> tuple[list[list[complex]], int]:
     """Distinct critical points of W + sum b_i x_i from seeded Newton starts.
 
     Starts lie on concentric spheres scaled by the perturbation size; the
-    search stops at the Milnor number of W or after NEWTON_STARTS starts.
+    search stops at the Milnor number of W or after n_starts starts.
     Returns the roots and the Newton iterations made.
     """
     mu = milnor_number(W)
@@ -115,7 +116,7 @@ def _multistart(W: QHPoly, b: tuple[complex, ...], seed: int) -> tuple[list[list
     q_scales = np.array([scale ** float(q) for q in W.weights])
     roots: list[list[complex]] = []
     iterations = 0
-    budget = NEWTON_STARTS
+    budget = n_starts
     for radius in itertools.cycle(radii):
         if len(roots) >= mu or budget <= 0:
             break
@@ -131,13 +132,14 @@ def _multistart(W: QHPoly, b: tuple[complex, ...], seed: int) -> tuple[list[list
     return roots, iterations
 
 
-def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> MorseData:
+def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0,
+                         n_starts: int = NEWTON_STARTS) -> MorseData:
     """All critical points of W + sum b_i x_i, certified by count.
 
-    Multistart Newton finds the critical points of each summand of W (a
-    block of variables that no monomial mixes) on its own.  On a direct
-    sum their products are polished by Newton on the whole of W
-    (Thom-Sebastiani).  Completeness is certified by comparing the count
+    Multistart Newton (n_starts starts) finds the critical points of each
+    summand of W (a block of variables that no monomial mixes) on its own.
+    On a direct sum their products are polished by Newton on the whole of
+    W (Thom-Sebastiani).  Completeness is certified by comparing the count
     of distinct roots with the Milnor number.
     """
     b = tuple(complex(v) for v in b)
@@ -154,11 +156,11 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0) -> Mors
                 f"b = 0 on the summand of W in {names}, which has a degenerate critical point at 0"))
 
     if len(blocks) == 1:
-        roots, iterations = _multistart(W, b, seed)
+        roots, iterations = _multistart(W, b, seed, n_starts)
     else:
         parts, iterations = [], 0
         for block in blocks:
-            pts, k = _multistart(W.restrict(block), tuple(b[v] for v in block), seed)
+            pts, k = _multistart(W.restrict(block), tuple(b[v] for v in block), seed, n_starts)
             parts.append(pts)
             iterations += k
         # Thom-Sebastiani: the critical points of W are the products of its

@@ -54,6 +54,12 @@ LIFT_XTOL = 1e-6        # Newton step bound, relative to the start offset
 LIFT_MATCH = 0.25       # end match radius, relative to the model offset
 WITTEN_MAX_ITER = 50    # Newton steps per start of witten_vanishing_check
 WITTEN_ZERO = 1e-6      # max |v| of a field that counts as the zero field
+WITTEN_GRID = 32        # grid points of witten_vanishing_check
+WITTEN_S_MAX = 8.0      # the grid spans [-WITTEN_S_MAX, WITTEN_S_MAX]
+WITTEN_TOL = 1e-8       # Newton step bound of a converged start, relative to max(1, max |v|)
+DECAY_S_SAMPLES = 64    # s samples of homogeneous_decay_check on [T, 2T]
+DECAY_ANG_SAMPLES = 64  # angle samples of homogeneous_decay_check on the circle
+A1_MODES = 16           # a1_bounded_spectrum_empty checks the modes 0..A1_MODES
 SUPPORT = 50.0          # fourier_bounded_solution integrates the forcing over [-SUPPORT, SUPPORT]
 QUAD_RTOL = 1e-10       # summed |20-point - 10-point| bound, relative to the integral of |f|
 QUAD_PANELS = 400       # panel budget of one integral; past it, ValueError
@@ -296,13 +302,11 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int) -> int:
                                                        k_i[v], k_j[v])))
 
 
-def energy_identity_check(W: QHPoly, b, traj: FlowTrajectory,
-                          angular_normalization: float = 1.0) -> float:
+def energy_identity_check(W: QHPoly, b, traj: FlowTrajectory) -> float:
     """Residual of the energy identity along a connecting trajectory.
 
     Compares the drop of (W + W0) between the endpoint critical values
-    with 2*A*integral of |grad(W+W0)|^2 ds along the samples (A is the
-    per-unit-angle normalization, default 1).  Along the flow
+    with 2*integral of |grad(W+W0)|^2 ds along the samples.  Along the flow
     |du/ds|^2 = 4 |grad|^2, so the integrand is |du/ds|^2 / 2.
     """
     bwd, fwd = traj.endpoints
@@ -312,7 +316,7 @@ def energy_identity_check(W: QHPoly, b, traj: FlowTrajectory,
     w_start = perturbed_value(W, b, traj.u[0])
     w_end = perturbed_value(W, b, traj.u[-1])
     delta = (w_end - w_start).real
-    return abs(delta - 2.0 * angular_normalization * traj.energy_integral)
+    return abs(delta - 2.0 * traj.energy_integral)
 
 
 @dataclass(frozen=True)
@@ -363,8 +367,10 @@ def fourier_bounded_solution(theta: float,
     Mode n <= -1: v_n(s) =  e^{-lam s} * int_-inf^s e^{lam t} rho_n(t) dt
     solves v_n' + lam v_n = rho_n.  One sweep of the grid, from the end
     where v_n vanishes, carries it to each next point s' by v_n(s') =
-    e^{lam (s - s')} v_n(s) -+ int_[s, s'] e^{lam (t - s')} rho_n(t) dt.
-    A forcing that _integral cannot resolve raises ValueError.
+    e^{lam (s - s')} v_n(s) -+ int_[s, s'] e^{lam (t - s')} rho_n(t) dt,
+    in sub-steps with |lam (s - s')| <= 700 so that no weight overflows.
+    A forcing that _integral cannot resolve, or a solution beyond the
+    float range, raises ValueError.
     """
     if not (0 < theta < 1):
         raise ValueError("Theta must lie in (0, 1)")
@@ -377,16 +383,20 @@ def fourier_bounded_solution(theta: float,
         for col in sorted(range(len(s_grid)), key=lambda k: sign * s_grid[k]):
             s_new = float(s_grid[col])
             p = min(max(s_new, -SUPPORT), SUPPORT)  # v_n(s_new) = e^{lam (p - s_new)} v_n(p)
-            v = math.exp(lam * (s - p)) * v + sign * _integral(
-                lambda t: math.exp(lam * (t - p)) * rho(t), *sorted((s, p)))
-            values[row, col], s = math.exp(lam * (p - s_new)) * v, p
+            for p_k in np.linspace(s, p, math.ceil(abs(lam * (p - s)) / 700) + 1)[1:].tolist():
+                v = math.exp(lam * (s - p_k)) * v + sign * _integral(
+                    lambda t: math.exp(lam * (t - p_k)) * rho(t), *sorted((s, p_k)))
+                s = p_k
+            values[row, col] = math.exp(lam * (p - s_new)) * v
+            if not cmath.isfinite(values[row, col]):
+                raise ValueError(f"mode {n}: the bounded solution at s = {s_new:g} "
+                                 "is beyond the float range")
     return CylinderField(theta=theta, mode_numbers=tuple(modes),
                          s_grid=s_grid, mode_values=values)
 
 
 def homogeneous_decay_check(theta: float, coeffs: dict[int, complex],
-                            T: float, n_s: int = 64, n_ang: int = 64
-                            ) -> tuple[float, float]:
+                            T: float) -> tuple[float, float]:
     """Measured decay rate on [T, 2T] and worst bound residual.
 
     Returns (slope, max_violation) where slope is the fitted decay rate
@@ -398,11 +408,11 @@ def homogeneous_decay_check(theta: float, coeffs: dict[int, complex],
     """
     if any(n < 0 for n in coeffs):
         raise ValueError("negative-mode input")
-    s_vals = np.linspace(T, 2 * T, n_s)
-    ang_vals = np.linspace(0, 2 * np.pi, n_ang, endpoint=False)
-    sup = np.zeros(n_s)
+    s_vals = np.linspace(T, 2 * T, DECAY_S_SAMPLES)
+    ang_vals = np.linspace(0, 2 * np.pi, DECAY_ANG_SAMPLES, endpoint=False)
+    sup = np.zeros(DECAY_S_SAMPLES)
     for k, s in enumerate(s_vals):
-        v = np.zeros(n_ang, dtype=complex)
+        v = np.zeros(DECAY_ANG_SAMPLES, dtype=complex)
         for n, c in coeffs.items():
             v += c * np.exp(-(n + theta) * s) * np.exp(-1j * n * ang_vals)
         sup[k] = np.max(np.abs(v))
@@ -417,7 +427,7 @@ def homogeneous_decay_check(theta: float, coeffs: dict[int, complex],
 
 
 def _witten_newton(W: QHPoly, theta: float, h: float, v, tol: float):
-    """(verdict, last iterate) of Newton from the start v, n_grid lists of N complex."""
+    """(verdict, last iterate) of Newton from the start v, WITTEN_GRID lists of N complex."""
     n = W.n_vars
     cI = [[1 / h + theta if i == j else 0j for j in range(n)] for i in range(n)]
     for _ in range(WITTEN_MAX_ITER):
@@ -445,24 +455,22 @@ def _witten_newton(W: QHPoly, theta: float, h: float, v, tol: float):
     return "unconverged", v
 
 
-def witten_vanishing_check(W: QHPoly, theta: float, n_grid: int = 32,
-                           s_max: float = 8.0, n_starts: int = 50,
-                           start_scale: float = 0.02, seed: int = 0,
-                           tol: float = 1e-8) -> bool:
+def witten_vanishing_check(W: QHPoly, theta: float, n_starts: int = 50,
+                           start_scale: float = 0.02, seed: int = 0) -> bool:
     """Newton on the discretized twisted flow finds only the zero field.
 
     In the Neveu-Schwarz sector every variable carries a positive twist,
-    so d_s v + Theta v + 2 conj(grad W(v)) = 0 on [-s_max, s_max] with
-    zero boundary value should admit only v = 0.  With step h the
+    so d_s v + Theta v + 2 conj(grad W(v)) = 0 on [-WITTEN_S_MAX, WITTEN_S_MAX]
+    with zero boundary value should admit only v = 0.  With step h the
     backward-difference residual, r[0] = v[0] and r[k] = (v[k] - v[k-1])/h
     + Theta v[k] + 2 conj(grad W(v[k])), is block lower-triangular: its
     exact real-linear Jacobian has diagonal blocks c I + 2 conj(H(v[k]) .),
     c = 1/h + Theta, and sub-diagonal blocks -I/h, so a Newton step is one
-    forward substitution of n_grid small solves.  Each seeded start ends
-    converged (step <= tol * max(1, max |v|)) to zero (max |v| <=
-    WITTEN_ZERO), converged to a nonzero field, or unconverged (a singular
-    block, an overflow, or WITTEN_MAX_ITER steps).  Returns True only when
-    every start converged to zero.
+    forward substitution of WITTEN_GRID small solves.  Each seeded start
+    ends converged (step <= WITTEN_TOL * max(1, max |v|)) to zero (max |v|
+    <= WITTEN_ZERO), converged to a nonzero field, or unconverged (a
+    singular block, an overflow, or WITTEN_MAX_ITER steps).  Returns True
+    only when every start converged to zero.
 
     The discrete system also has mesh-scale roots that do not survive
     refinement: for x^3 a node after zero nodes solves c v + 6 conj(v)^2
@@ -472,16 +480,16 @@ def witten_vanishing_check(W: QHPoly, theta: float, n_grid: int = 32,
     if not (0 < theta < 1):
         raise ValueError("Theta must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    n = W.n_vars
-    h = float(np.diff(np.linspace(-s_max, s_max, n_grid))[0])
+    size = (WITTEN_GRID, W.n_vars)
+    h = float(np.diff(np.linspace(-WITTEN_S_MAX, WITTEN_S_MAX, WITTEN_GRID))[0])
     for _ in range(n_starts):
-        v0 = start_scale * (rng.normal(size=(n_grid, n)) + 1j * rng.normal(size=(n_grid, n)))
-        if _witten_newton(W, theta, h, v0.tolist(), tol)[0] != "zero":
+        v0 = start_scale * (rng.normal(size=size) + 1j * rng.normal(size=size))
+        if _witten_newton(W, theta, h, v0.tolist(), WITTEN_TOL)[0] != "zero":
             return False
     return True
 
 
-def a1_bounded_spectrum_empty(epsilon: float, n_max: int = 16) -> bool:
+def a1_bounded_spectrum_empty(epsilon: float) -> bool:
     """No bounded orbit of the linear flow du/ds = 2(2+eps) conj(u).
 
     On the cylinder the mode pair (f_n, conj(f_{-n})) evolves by the
@@ -490,7 +498,7 @@ def a1_bounded_spectrum_empty(epsilon: float, n_max: int = 16) -> bool:
     every mode's spectrum stays off the axis.
     """
     c = 2.0 * (2.0 + epsilon)
-    for n in range(0, n_max + 1):
+    for n in range(0, A1_MODES + 1):
         eigs = np.linalg.eigvals(np.array([[-n, c], [c, n]], dtype=float))
         if np.any(np.abs(eigs.real) < 1e-12):
             return False

@@ -428,39 +428,24 @@ def degenerate_support(W: QHPoly) -> tuple[int, ...] | None:
     return None
 
 
-def check_nondegenerate(W: QHPoly, radius: float = 4.0, n_starts: int = 200,
-                        seed: int = 0, tol: float = 1e-10) -> bool:
-    """Attest nondegeneracy numerically.
+def check_nondegenerate(W: QHPoly, n_starts: int = 200, seed: int = 0) -> bool:
+    """Nondegeneracy from the support test, then a count of critical points.
 
-    False if W fails the support test.  Otherwise Newton on grad W runs
-    from starts in the given ball, and True is returned unless one ends at
-    a u != 0 whose rescaling rho^-q u, rho = max |u_i|^(1/q_i), is critical
-    too.  The critical set is a cone, as dW/du_i(t^q u) = t^(1-q_i)
-    dW/du_i(u); a Newton stall near a degenerate origin is not on it.
-    This is evidence, not a proof.
+    False if W fails the support test, and only then.  Otherwise True once
+    morse.find_critical_points (n_starts Newton starts per summand) finds
+    mu = prod(1/q_i - 1) critical points of W + sum b_i x_i, with b drawn
+    from the seed.  By weighted Bezout a degenerate W has at most mu - 1
+    isolated critical points at any b, as its critical cone meets the
+    hyperplane at infinity.  A short multistart looks the same, so a count
+    below mu is refused: find_critical_points' MorseError passes through.
     """
+    from .morse import find_critical_points
+
     if degenerate_support(W):
         return False
     rng = np.random.default_rng(seed)
-    n = W.n_vars
-    qs = [float(q) for q in W.weights]
-    for _ in range(n_starts):
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        u *= radius * rng.random() ** (1.0 / (2 * n)) / max(np.linalg.norm(u), 1e-30)
-        u = u.tolist()
-        for _ in range(60):
-            g = W.gradient_values(u)
-            if _norm(g) < tol:
-                break
-            step = _solve(W.hessian_values(u), g)
-            if step is None or not math.isfinite(_norm(step)):
-                break
-            u = [a - s for a, s in zip(u, step)]
-        else:
-            continue
-        rho = max(abs(c) ** (1 / q) for c, q in zip(u, qs))
-        if 0 < rho and _norm(W.gradient_values([c / rho ** q for c, q in zip(u, qs)])) < tol:
-            return False
+    b = rng.normal(size=W.n_vars) + 1j * rng.normal(size=W.n_vars)
+    find_critical_points(W, b.tolist(), seed=seed, n_starts=n_starts)
     return True
 
 

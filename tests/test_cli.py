@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -313,3 +314,61 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, fence):
+    """The body of the first block opened by the line `fence` after the line `heading`."""
+    text = README.read_text()
+    text = text[text.index(heading + "\n"):]
+    start = text.index(fence + "\n") + len(fence) + 1
+    return text[start:text.index("```", start)]
+
+
+class TestReadme:
+    """The README's CLI examples, run through cli.main, so the README cannot drift."""
+
+    @pytest.mark.parametrize("argv", [shlex.split(line, comments=True) for line
+                                      in readme_block("## CLI", "```sh").splitlines()],
+                             ids=lambda argv: argv[1])
+    def test_cli_block(self, capsys, tmp_path, monkeypatch, argv):
+        # `graph` reads the README's own graph file.
+        (tmp_path / "point.graph").write_text(readme_block("## Graph file format", "```"))
+        monkeypatch.chdir(tmp_path)
+        assert argv[0] == "qhsing"
+        status, out = run(capsys, *argv[1:])
+        assert status == 0, out
+
+    @staticmethod
+    def states(phrase):
+        """Whether the README's prose holds phrase, across line breaks."""
+        return phrase in " ".join(README.read_text().split())
+
+    def run_quoted(self, capsys, quoted, *extra):
+        """Run the command that the README quotes verbatim, with extra arguments."""
+        assert self.states(quoted)
+        return run(capsys, *shlex.split(quoted)[1:], *extra)
+
+    def test_quartic_walls(self, capsys):
+        status, out = self.run_quoted(
+            capsys, "qhsing walls 'x^4' --path '3.1*exp(-0.5*1j*pi*(lam+0.1))'")
+        assert status == 0
+        assert self.states("finds the walls at λ = 0.15 and 0.65")
+        assert [line.split()[2] for line in out.splitlines()[1:]] == ["0.15", "0.65"]
+
+    def test_direct_sum_walls(self, capsys):
+        status, out = self.run_quoted(capsys, "qhsing walls 'x^3+y^3' --path '3*exp(1j*pi*lam), 2'")
+        assert status == 0
+        assert self.states("reports the cubic summand's wall at λ = 1/3 twice, as `pair 0 2` and "
+                           "`pair 1 3`")
+        assert "crossing lambda 0.333333333333 pair 0 2\n" in out
+        assert "crossing lambda 0.333333333333 pair 1 3\n" in out
+
+    def test_direct_sum_solitons(self, capsys):
+        quoted = "qhsing solitons 'x^3+y^3' --b=-3,-0.3 --pair 1 3"
+        assert self.run_quoted(capsys, quoted) == (0, "count 1\n")
+        assert self.states("prints `count 1`") and self.states("`--pair 1 4` moves in both summands")
+        status, out = self.run_quoted(capsys, quoted.removesuffix(" --pair 1 3"), "--pair", "1", "4")
+        assert status == 2 and out.startswith("error ")

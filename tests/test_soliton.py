@@ -652,6 +652,24 @@ class TestCylinder:
         assert pos[3] == 0
         assert pos[1] == pytest.approx(-math.exp(60 * theta) * total, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [14, 20, 40, -30])
+    def test_high_mode_closed_form(self, n):
+        # rho = e^{-t^2}: v(0) = -+e^{lam^2/4} (sqrt(pi)/2) (1 +- erf(lam/2)), the
+        # upper signs for n >= 0.  Past mode 13 a weight over the whole gap
+        # [0, 50] would leave the float range, though v(0) does not.
+        theta = 0.4
+        lam, sign = n + theta, (1 if n >= 0 else -1)
+        field = fourier_bounded_solution(theta, {n: lambda t: math.exp(-t * t)}, [0.0])
+        want = (-sign * math.exp(lam ** 2 / 4) * math.sqrt(math.pi) / 2
+                * (1 + sign * math.erf(lam / 2)))
+        assert field.mode_values[0, 0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, -60])
+    def test_solution_beyond_float_range_is_refused(self, n):
+        # |v(0)| is about e^{50 |lam|} / 2500 / |lam| for rho = 1/(1+t^2).
+        with pytest.raises(ValueError, match="beyond the float range"):
+            fourier_bounded_solution(0.4, {n: lambda t: 1 / (1 + t * t)}, [0.0])
+
     def test_unresolved_forcing_is_refused(self, alarm):
         rho = {0: lambda t: math.sin(1e7 * t) * math.exp(-t * t)}
         with pytest.raises(ValueError, match="does not converge"):

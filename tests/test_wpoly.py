@@ -1,10 +1,15 @@
 import cmath
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qhsing import wpoly
+from qhsing.morse import MorseError
 from qhsing.wpoly import (PolynomialError, WeightError, compute_weights,
                           gradient, growth_exponents, hessian, milnor_number,
                           parse_polynomial, value)
@@ -310,6 +315,39 @@ class TestMilnor:
         W = parse_polynomial("x^4+x^2*y^2")
         assert wpoly.degenerate_support(W) == (1,)
         assert not wpoly.check_nondegenerate(W, n_starts=0)
+
+    # Each passes the support test but has a critical line: through
+    # (1, 1, 1), on x = -y, on x = +-iy, and on x = -y again.  By weighted
+    # Bezout no b gives mu critical points, so the count refuses them.
+    @pytest.mark.parametrize("text", [
+        "x^3+y^3+z^3-3*x*y*z", "x^3+3*x^2*y+3*x*y^2+y^3", "x^4+2*x^2*y^2+y^4",
+        "x^4+x^3*y+x*y^3+y^4"])
+    def test_degenerate_past_support_test_is_refused(self, text):
+        W = parse_polynomial(text)
+        assert wpoly.degenerate_support(W) is None
+        for seed in range(4):
+            with pytest.raises(MorseError, match="degenerate or unresolved"):
+                wpoly.check_nondegenerate(W, seed=seed)
+
+    def test_short_count_is_refused_not_answered(self):
+        # x^9 + x y^8 is nondegenerate (mu = 64), but 200 starts do not
+        # find all 64 critical points: the answer is a refusal, never False.
+        with pytest.raises(MorseError, match="degenerate or unresolved"):
+            wpoly.check_nondegenerate(parse_polynomial("x^9+x*y^8"))
+
+    # The bench shapes, with the bench's start budget.
+    @pytest.mark.parametrize("text", ["x^3", "x^4+y^4", "x^3+x*y^2", "x^3+y^3+z^3"])
+    def test_bench_shapes_at_short_budget(self, text):
+        W = parse_polynomial(text)
+        assert all(wpoly.check_nondegenerate(W, n_starts=40, seed=seed) for seed in range(20))
+
+    def test_wpoly_imports_without_morse(self):
+        # check_nondegenerate imports morse only when it is called.
+        src = str(pathlib.Path(wpoly.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, qhsing.wpoly; assert 'qhsing.morse' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     # The corpus (which holds the README polynomials) and the bench shapes:
     # Fermat sums, chains x^a + x*y^b and loops x^a*y + x*y^b.
