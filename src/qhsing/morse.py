@@ -3,8 +3,8 @@
 Adds W0 = sum b_i x_i to a quasi-homogeneous polynomial, finds all of
 its critical points by multistart Newton, classifies regular / strongly
 regular perturbations, and locates wall crossings (coincidences of
-imaginary critical values) along parameter paths by continuation plus
-bisection.
+imaginary critical values) along parameter paths by continuation with
+an extrapolation predictor and Illinois refinement of each crossing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ HESS_MIN_SV = 1e-8        # nondegeneracy floor for the Hessian
 SEPARATION = 1e-6         # minimal distance between distinct roots
 NEWTON_STARTS = 200       # default Newton start budget of each multistart
 WALL_STEPS = 200          # continuation grid on the path parameter [0, 1]
-WALL_REFINE_TOL = 1e-14   # bisection width at which a crossing is reported
+WALL_REFINE_TOL = 1e-14   # bracket width at which a crossing is reported
 
 
 class MorseError(RuntimeError):
@@ -212,15 +212,16 @@ def is_strongly_regular(m: MorseData) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-def _track_roots(W: QHPoly, points: list[list[complex]],
-                 b_new: list[complex]) -> list[list[complex]] | None:
-    """One continuation step: polish previous roots at the new parameter.
+def _track_roots(W: QHPoly, points: list[list[complex]], b_new: list[complex],
+                 starts: list[list[complex]] | None = None) -> list[list[complex]] | None:
+    """One continuation step: polish the roots at the new parameter.
 
-    Returns None when a root is lost or two tracked roots collide,
-    signalling that the step must be halved.
+    Newton starts from starts (predicted roots) or else from points;
+    motion is measured from points.  Returns None when a root is lost or
+    two tracked roots collide, signalling that the step must be halved.
     """
     new_points = []
-    for u in points:
+    for u in starts or points:
         v, _ = _newton(W, b_new, u)
         if v is None:
             return None
@@ -237,6 +238,14 @@ def _track_roots(W: QHPoly, points: list[list[complex]],
     return new_points
 
 
+def _extrapolate(history: list[list[list[complex]]]) -> list[list[complex]]:
+    """Roots at the next point of a uniform grid, by the polynomial through
+    history, the root lists at its last one, two or three points (oldest first)."""
+    coeffs = ((1,), (-1, 2), (1, -3, 3))[len(history) - 1]
+    return [[sum(c * x for c, x in zip(coeffs, xs)) for xs in zip(*past)]
+            for past in zip(*history)]
+
+
 @dataclass(frozen=True)
 class WallCrossing:
     lam: float
@@ -247,31 +256,31 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
                           seed: int = 0) -> list[WallCrossing]:
     """Imaginary-value coincidences along a perturbation path on [0, 1].
 
-    Tracks every critical point by predictor-corrector continuation with
-    step halving, watches the signs of Im(alpha_i - alpha_j) for every
-    pair, and refines each sign change by bisection.  Pairs that flip in
-    the same step are refined one by one when they share no critical
-    point (on a direct sum a wall of one summand aligns several pairs at
-    once); pairs that share one are refused as non-generic.
+    Tracks every critical point over the grid lam = k / WALL_STEPS, each
+    step starting Newton from the quadratic extrapolation of the tracked
+    roots and halved, from the previous roots, when refused.  Watches the
+    signs of Im(alpha_i - alpha_j) for every pair and refines each sign
+    change by Illinois regula falsi to a WALL_REFINE_TOL-wide bracket.
+    Pairs that flip in the same step are refined one by one when they
+    share no critical point (on a direct sum a wall of one summand aligns
+    several pairs at once); pairs that share one are refused as non-generic.
     """
     def b_at(lam):
         return [complex(c) for c in path(lam)]
 
     m0 = find_critical_points(W, b_at(0.0), seed=seed)
     points = [list(p) for p in m0.critical_points]
-    mu = len(points)
 
     def im_gaps(pts, lam):
         b = b_at(lam)
-        vals = [perturbed_value(W, b, u) for u in pts]
-        return {(i, j): vals[i].imag - vals[j].imag
-                for i in range(mu) for j in range(i + 1, mu)}
+        ims = [(W.value_at(u) + sum(map(mul, b, u))).imag for u in pts]
+        return {(i, j): ims[i] - ims[j] for i, j in itertools.combinations(range(len(pts)), 2)}
 
-    def advance(pts, lam_from, lam_to, depth=0):
+    def advance(pts, lam_from, lam_to, depth=0, starts=None):
         """Continue all roots from lam_from to lam_to, halving on failure."""
         if depth > 40:
             raise MorseError(f"loss of tracked root near lambda={lam_from:.6g}")
-        nxt = _track_roots(W, pts, b_at(lam_to))
+        nxt = _track_roots(W, pts, b_at(lam_to), starts)
         if nxt is not None:
             return nxt
         mid = 0.5 * (lam_from + lam_to)
@@ -281,9 +290,10 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
     crossings: list[WallCrossing] = []
     lam_prev = 0.0
     gaps_prev = im_gaps(points, 0.0)
+    history = [points]
     for k in range(1, WALL_STEPS + 1):
         lam = k / WALL_STEPS
-        points_new = advance(points, lam_prev, lam)
+        points_new = advance(points, lam_prev, lam, starts=_extrapolate(history))
         gaps = im_gaps(points_new, lam)
         # A gap that lands exactly on 0 at a grid point counts here, once;
         # the sign test alone misses it on both sides.
@@ -294,25 +304,30 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
         if len(touched) > len(set(touched)):
             raise MorseError(f"non-generic crossing near lambda={lam:.6g}: pairs {flipped}")
         for pair in flipped:
-            lo, hi = lam_prev, lam
-            pts_lo = points
-            g_lo = gaps_prev[pair]
+            lo, hi, g_lo, g_hi = lam_prev, lam, gaps_prev[pair], gaps[pair]
+            pts_lo, kept = points, None
             # Refine essentially to machine precision: `walls` prints
-            # lambda to 12 significant digits.
-            while hi - lo > WALL_REFINE_TOL:
-                mid = 0.5 * (lo + hi)
-                if mid in (lo, hi):
-                    break
+            # lambda to 12 significant digits.  The secant point stays
+            # WALL_REFINE_TOL / 2 inside the bracket, so a root within
+            # rounding of one end closes the bracket in one step.
+            while hi - lo > WALL_REFINE_TOL and g_hi != 0:
+                mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+                mid = (min(max(mid, lo + WALL_REFINE_TOL / 2), hi - WALL_REFINE_TOL / 2)
+                       if lo <= mid <= hi else 0.5 * (lo + hi))
                 pts_mid = advance(pts_lo, lo, mid)
                 g_mid = im_gaps(pts_mid, mid)[pair]
+                # Illinois: an end kept twice in a row has its gap halved.
                 if g_lo * g_mid <= 0:
-                    hi = mid
+                    g_lo *= 0.5 if kept == "lo" else 1.0
+                    hi, g_hi, kept = mid, g_mid, "lo"
                 else:
-                    lo, pts_lo, g_lo = mid, pts_mid, g_mid
-            lam_star = 0.5 * (lo + hi)
+                    g_hi *= 0.5 if kept == "hi" else 1.0
+                    lo, pts_lo, g_lo, kept = mid, pts_mid, g_mid, "hi"
+            lam_star = hi if g_hi == 0 else 0.5 * (lo + hi)
             if WALL_REFINE_TOL < lam_star < 1.0 - WALL_REFINE_TOL:
                 crossings.append(WallCrossing(lam=lam_star, pair=pair))
         points, gaps_prev, lam_prev = points_new, gaps, lam
+        history = [*history[-2:], points]
     return sorted(crossings, key=lambda c: c.lam)
 
 

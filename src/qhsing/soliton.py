@@ -387,7 +387,11 @@ def fourier_bounded_solution(theta: float,
                 v = math.exp(lam * (s - p_k)) * v + sign * _integral(
                     lambda t: math.exp(lam * (t - p_k)) * rho(t), *sorted((s, p_k)))
                 s = p_k
-            values[row, col] = math.exp(lam * (p - s_new)) * v
+            # e^x v in factors of at most e^700: only a product past the float range overflows
+            x, w = lam * (p - s_new), v
+            while x > 700.0 and w and cmath.isfinite(w):
+                x, w = x - 700.0, math.exp(700.0) * w
+            values[row, col] = math.exp(min(x, 700.0)) * w
             if not cmath.isfinite(values[row, col]):
                 raise ValueError(f"mode {n}: the bounded solution at s = {s_new:g} "
                                  "is beyond the float range")

@@ -138,7 +138,7 @@ class TestWallDetection:
         crossings = detect_wall_crossings(
             W, lambda lam: [3.0 * cmath.exp(1j * cmath.pi * lam)])
         assert len(crossings) == 1
-        assert abs(crossings[0].lam - 1.0 / 3.0) < 1e-8
+        assert abs(crossings[0].lam - 1.0 / 3.0) < 1e-12
 
     def test_chamber_path_has_no_crossings(self):
         # Staying inside one chamber: real positive b for x^3.
@@ -165,8 +165,8 @@ class TestWallDetection:
         crossings = detect_wall_crossings(
             W, lambda lam: [4.0 * cmath.exp(-0.5j * cmath.pi * lam)])
         assert len(crossings) == 2
-        assert abs(crossings[0].lam - 0.25) < 1e-8
-        assert abs(crossings[1].lam - 0.75) < 1e-8
+        assert abs(crossings[0].lam - 0.25) < 1e-12
+        assert abs(crossings[1].lam - 0.75) < 1e-12
         assert crossings[0].pair != crossings[1].pair
 
     @pytest.mark.parametrize("r", [2.0, 2.5, 3.0])
@@ -177,8 +177,8 @@ class TestWallDetection:
         crossings = detect_wall_crossings(
             W, lambda lam: [r * cmath.exp(0.5j * cmath.pi * lam)])
         assert len(crossings) == 2
-        assert abs(crossings[0].lam - 0.25) < 1e-8
-        assert abs(crossings[1].lam - 0.75) < 1e-8
+        assert abs(crossings[0].lam - 0.25) < 1e-12
+        assert abs(crossings[1].lam - 0.75) < 1e-12
 
     def test_direct_sum_wall_aligns_two_disjoint_pairs(self):
         # x^3 + y^3 with b = (3 e^{i pi lam}, 2): the cubic summand's wall
@@ -199,10 +199,42 @@ class TestWallDetection:
             W, lambda lam: [4.0 * cmath.exp(1j * cmath.pi * lam)])
         want = [0.2, 0.4, 0.4, 0.6, 0.8, 0.8]
         assert len(crossings) == len(want)
-        assert all(abs(c.lam - w) < 1e-8 for c, w in zip(crossings, want))
+        assert all(abs(c.lam - w) < 1e-12 for c, w in zip(crossings, want))
         for a, b in zip(crossings, crossings[1:]):
             if abs(a.lam - b.lam) < 1e-8:
                 assert not set(a.pair) & set(b.pair)
+
+    @pytest.mark.parametrize("text, path", [
+        ("x^3", lambda lam: [3.0 * cmath.exp(1j * cmath.pi * lam)]),
+        ("x^4", lambda lam: [4.0 * cmath.exp(-0.5j * cmath.pi * lam)]),
+    ], ids=["cubic", "quartic"])
+    def test_tracking_work(self, monkeypatch, text, path):
+        # The predictor makes each grid step about one Newton iteration per
+        # root, and the refinement a few tracking steps per crossing.
+        work = {"steps": 0, "calls": 0, "iterations": 0, "tracking": False}
+        track, newton = morse._track_roots, morse._newton
+
+        def counted_track(*args):
+            work["steps"] += 1
+            work["tracking"] = True
+            try:
+                return track(*args)
+            finally:
+                work["tracking"] = False
+
+        def counted_newton(*args):
+            u, k = newton(*args)
+            if work["tracking"]:
+                work["calls"] += 1
+                work["iterations"] += k
+            return u, k
+
+        monkeypatch.setattr(morse, "_track_roots", counted_track)
+        monkeypatch.setattr(morse, "_newton", counted_newton)
+        crossings = detect_wall_crossings(parse_polynomial(text), path)
+        assert crossings
+        assert work["steps"] <= morse.WALL_STEPS + 10 * len(crossings)
+        assert work["iterations"] <= 1.5 * work["calls"]
 
     def test_walls_sharing_a_point_refused(self):
         # Both cubic summands are on a wall at lam = 1/3: all four critical

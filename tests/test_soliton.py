@@ -670,6 +670,16 @@ class TestCylinder:
         with pytest.raises(ValueError, match="beyond the float range"):
             fourier_bounded_solution(0.4, {n: lambda t: 1 / (1 + t * t)}, [0.0])
 
+    def test_zero_far_beyond_support(self):
+        # Weights e^{lam (p - s)} past e^709 multiply a zero mode to 0.
+        field = fourier_bounded_solution(0.4, {0: lambda t: 0.0}, [-2000.0, -1800.0])
+        assert field.mode_values.tolist() == [[0j, 0j]]
+
+    def test_growth_far_beyond_support_is_refused(self):
+        # v(-2000) = e^{0.4 * 1950} v(-50), and v(-50) is about -1.8 e^{20}.
+        with pytest.raises(ValueError, match="beyond the float range"):
+            fourier_bounded_solution(0.4, {0: lambda t: math.exp(-t * t)}, [-2000.0])
+
     def test_unresolved_forcing_is_refused(self, alarm):
         rho = {0: lambda t: math.sin(1e7 * t) * math.exp(-t * t)}
         with pytest.raises(ValueError, match="does not converge"):
