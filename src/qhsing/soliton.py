@@ -1,11 +1,12 @@
 """BPS gradient-flow dynamics and the cylinder Fourier layer.
 
-The flow is du/ds = 2 * conj(grad(W + W0)(u)).  Along any solution the
-imaginary part of (W + W0)(u) is conserved and the real part is
-nondecreasing; both invariants are monitored on every integrated
-trajectory.  Connecting orbits between critical points on a wall are
-counted as path lifts of [alpha_i, alpha_j] through W + W0 in one
-variable; on a direct sum a pair that moves in one one-variable summand
+The flow is du/ds = 2 * conj(grad(W + W0)(u)), integrated by the
+adaptive Dormand-Prince 8(5,3) method of the DOP853 code.  Along any
+solution the imaginary part of (W + W0)(u) is conserved and the real
+part is nondecreasing; both invariants are monitored on every
+integrated trajectory.  Connecting orbits between critical points on a
+wall are counted as path lifts of [alpha_i, alpha_j] through W + W0 in
+one variable; on a direct sum a pair that moves in one one-variable summand
 is counted by that summand's lifts (Thom-Sebastiani), and every other
 pair is refused rather than counted.  No count integrates the flow.
 
@@ -80,15 +81,42 @@ class FlowTrajectory:
     n_steps: int
     energy_integral: float          # integral of sum |grad(W+W0)|^2 ds
     n_rhs: int                      # right-hand side evaluations made
+    n_rejected: int                 # step attempts rejected by the error control
 
 
-# Dormand-Prince 5(4) stages, solution and error weights (J. Comput. Appl.
-# Math. 6, 1980) and the step-size factors of scipy's RK45 controller.
-_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_DP_B = (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+# Dormand-Prince 8(5,3): the stages, the 8th-order solution weights and
+# the 5th- and 3rd-order error weights of the DOP853 code (Hairer-Norsett-
+# Wanner, Solving ODEs I, 2nd ed., 1993, II.10), as in scipy's DOP853, and
+# the step-size factors of its controller.  The error weights give the
+# final evaluation f(y_new) weight 0, so they have one entry per stage.
+_DOP_A = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+     -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+     12.360567175794303, 0.6433927460157636))
+_DOP_B = (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+          -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+          0.04471061572777259)
+_DOP_E3 = (-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+           -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+           0.20136540080403034, 0.02265179219836082)
+_DOP_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+           1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+           0.08192320648511571, -0.022355307863886294)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
@@ -104,7 +132,7 @@ def _rms(v) -> float:
 
 
 def _initial_step(rhs, y, f, span: float) -> float:
-    """Hairer-Norsett-Wanner II.4 starting step for an order-4 error estimate."""
+    """Hairer-Norsett-Wanner II.4 starting step for an order-7 error estimate."""
     scale = [FLOW_ATOL + abs(a) * FLOW_RTOL for a in y]
     d0 = _rms([a / sc for a, sc in zip(y, scale)])
     d1 = _rms([a / sc for a, sc in zip(f, scale)])
@@ -112,45 +140,53 @@ def _initial_step(rhs, y, f, span: float) -> float:
     f1 = rhs([a + h0 * c for a, c in zip(y, f)])
     d2 = _rms([(a - c) / sc for a, c, sc in zip(f1, f, scale)]) / h0
     h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
-          else (0.01 / max(d1, d2)) ** (1 / 5))
+          else (0.01 / max(d1, d2)) ** (1 / 8))
     return min(100 * h0, h1, span)
 
 
-def _dp_step(rhs, s: float, y, f, h_abs: float, s_end: float):
-    """One accepted Dormand-Prince 5(4) step: (s, y, f, next |h|)."""
+def _dop853_step(rhs, s: float, y, f, h_abs: float, s_end: float):
+    """One accepted Dormand-Prince 8(5,3) step: (s, y, f, next |h|, rejected attempts).
+
+    The error norm blends the 5th- and 3rd-order estimates e5, e3 (each
+    scaled by FLOW_ATOL + FLOW_RTOL * |y|) as h |e5|^2 / sqrt((|e5|^2 +
+    0.01 |e3|^2) n); every attempt evaluates f(y_new), as scipy's DOP853 does.
+    """
     min_step = 10 * (math.nextafter(s, math.inf) - s)
     h_abs = max(h_abs, min_step)
-    u, rejected = y[:-1], False  # stage points omit the energy slot: rhs never reads it
+    u, rejected = y[:-1], 0  # stage points omit the energy slot: rhs never reads it
     while True:
         if not min_step <= h_abs < math.inf:  # too small, or not finite
             raise RuntimeError(f"integration failed: step size {h_abs:.3g} at s={s:.6g}")
         s_new = min(s + h_abs, s_end)
         h = h_abs = s_new - s
         K = [[k] for k in f]  # per component, its stage values so far
-        for a in _DP_A:
+        for a in _DOP_A:
             for ks, k in zip(K, rhs([c + sum(map(mul, ks, a)) * h for c, ks in zip(u, K)])):
                 ks.append(k)
-        y_new = [c + sum(map(mul, ks, _DP_B)) * h for c, ks in zip(y, K)]
-        f_new, scaled = rhs(y_new), []
-        for ks, k, c, c_new in zip(K, f_new, y, y_new):
-            ks.append(k)
-            scaled.append(sum(map(mul, ks, _DP_E)) * h
-                          / (FLOW_ATOL + max(abs(c), abs(c_new)) * FLOW_RTOL))
-        error_norm = _rms(scaled)
+        y_new = [c + sum(map(mul, ks, _DOP_B)) * h for c, ks in zip(y, K)]
+        f_new, e5, e3 = rhs(y_new), 0.0, 0.0
+        for ks, c, c_new in zip(K, y, y_new):
+            sc = FLOW_ATOL + max(abs(c), abs(c_new)) * FLOW_RTOL
+            e5 += abs(sum(map(mul, ks, _DOP_E5)) / sc) ** 2
+            e3 += abs(sum(map(mul, ks, _DOP_E3)) / sc) ** 2
+        error_norm = h * e5 / math.sqrt((e5 + 0.01 * e3) * len(y)) if e5 else 0.0
         if error_norm < 1:
             factor = _MAX_FACTOR if error_norm == 0 else min(
-                _MAX_FACTOR, _SAFETY * error_norm ** -0.2)
-            return s_new, y_new, f_new, h_abs * (min(1, factor) if rejected else factor)
-        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.2)
-        rejected = True
+                _MAX_FACTOR, _SAFETY * error_norm ** -0.125)
+            return (s_new, y_new, f_new, h_abs * (min(1, factor) if rejected else factor),
+                    rejected)
+        h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** -0.125)
+        rejected += 1
 
 
 def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
                    critical_points: Sequence[np.ndarray] = ()) -> FlowTrajectory:
-    """Adaptive Dormand-Prince 5(4) integration of the BPS flow on s_span.
+    """Adaptive Dormand-Prince 8(5,3) integration of the BPS flow on s_span.
 
-    b and u0 hold N finite complex numbers.  The step-size controller is
-    that of scipy's RK45 at FLOW_RTOL and FLOW_ATOL.  After each accepted
+    b and u0 hold N finite complex numbers.  Each step advances the
+    8th-order solution; the step sizes come from an error estimate of
+    order 7 under the controller of scipy's DOP853 at FLOW_RTOL and
+    FLOW_ATOL, so the steps are DOP853's.  After each accepted
     step the flow stops if the step entered the capture sphere of a
     supplied critical point (one that does not hold u0) or left the escape
     sphere far beyond the critical cluster; that step's end is the last
@@ -170,7 +206,7 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
     escape_radius = 10.0 * max(max((np.linalg.norm(p) for p in pts), default=1.0), 1.0)
     # Do not stop on departure from the start point's own sphere.
     targets = [p.tolist() for p in pts if np.linalg.norm(u0 - p) > CAPTURE_RADIUS]
-    n_rhs = 0
+    n_rhs = n_rejected = 0
 
     def rhs(y):
         # Last slot accumulates the energy integrand sum |grad|^2.
@@ -190,7 +226,8 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
         h_abs = _initial_step(rhs, y, f, s1 - s0)
         inside = _norm(y[:-1]) <= escape_radius
         while s < s1:
-            s, y, f, h_abs = _dp_step(rhs, s, y, f, h_abs, s1)
+            s, y, f, h_abs, rejected = _dop853_step(rhs, s, y, f, h_abs, s1)
+            n_rejected += rejected
             svals.append(s)
             ys.append(y)
             r = _norm(y[:-1])
@@ -216,7 +253,8 @@ def integrate_flow(W: QHPoly, b, u0, s_span: tuple[float, float],
     return FlowTrajectory(s=np.array(svals), u=samples, im_value=im0, im_drift=drift,
                           re_monotone=re_mono, endpoints=(bwd, fwd),
                           escaped=escaped, n_steps=len(svals),
-                          energy_integral=ys[-1][-1].real, n_rhs=n_rhs)
+                          energy_integral=ys[-1][-1].real, n_rhs=n_rhs,
+                          n_rejected=n_rejected)
 
 
 def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
