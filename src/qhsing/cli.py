@@ -37,8 +37,6 @@ class DomainError(Exception):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, complex):
         return f"{x.real:.12g}{x.imag:+.12g}i"
     if isinstance(x, float):
@@ -345,11 +343,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise DomainError(f"--seed {args.seed}: must be a non-negative integer")
         status = COMMANDS[args.command](args, out)
-    except DomainError as exc:
-        out.append(f"error {exc}")
-        status = 2
-    except (wpoly.PolynomialError, wpoly.WeightError, graphcalc.GraphError,
-            ValueError) as exc:
+    except (DomainError, ValueError) as exc:
         out.append(f"error {exc}")
         status = 2
     except Exception as exc:  # noqa: BLE001 - internal failure path

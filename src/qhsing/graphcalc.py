@@ -2,15 +2,16 @@
 
 Graphs are immutable: vertices carry a genus, edges carry a balanced
 (gamma, gamma^{-1}) decoration pair, tails carry a single decoration.
-All degree and index formulas are exact rational arithmetic, so the
-integrality tests that drive the selection rules are never subject to
-rounding.
+All degree and index formulas are exact: sums of integer numerators over
+a common denominator, so the integrality tests that drive the selection
+rules are never subject to rounding.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -122,16 +123,14 @@ def line_bundle_degrees(W: QHPoly, g: int, tails: Sequence[GroupElement]
                         ) -> tuple[tuple[Fraction, ...], bool]:
     """Per-variable degrees q_i(2g-2+k) - sum of tail phases; admissible
     iff every degree is an integer."""
-    for gamma in tails:
-        if not is_member(W, gamma):
-            raise ValueError("tail decoration is not a symmetry of W")
-    k = len(tails)
-    degs = []
-    for i, q in enumerate(W.weights):
-        d = q * (2 * g - 2 + k) - sum((gamma.theta[i] for gamma in tails), Fraction(0))
-        degs.append(d)
-    admissible = all(d.denominator == 1 for d in degs)
-    return tuple(degs), admissible
+    if not all(is_member(W, gamma) for gamma in tails):
+        raise ValueError("tail decoration is not a symmetry of W")
+    # The degree numerators over M = lcm(weight denominator, tail orders).
+    n, w = W.weights_over_lcm
+    M = math.lcm(w, *(gamma.d for gamma in tails))
+    nums = [ni * (2 * g - 2 + len(tails)) * (M // w)
+            - sum(gamma.k[i] * (M // gamma.d) for gamma in tails) for i, ni in enumerate(n)]
+    return tuple(Fraction(x, M) for x in nums), all(x % M == 0 for x in nums)
 
 
 def witten_index(W: QHPoly, g: int, tails: Sequence[GroupElement]) -> int:
@@ -140,11 +139,8 @@ def witten_index(W: QHPoly, g: int, tails: Sequence[GroupElement]) -> int:
     A non-integer value signals an inadmissible type; this is
     cross-checked against the degree integrality test.
     """
-    c = central_charge(W)
-    idx = 2 * c * (1 - g)
-    for gamma in tails:
-        sec = sector_data(W, gamma)
-        idx -= 2 * sec.iota + sec.n_gamma
+    secs = [sector_data(W, gamma) for gamma in tails]
+    idx = 2 * central_charge(W) * (1 - g) - sum(2 * sec.iota + sec.n_gamma for sec in secs)
     _, admissible = line_bundle_degrees(W, g, tails)
     if idx.denominator != 1:
         if admissible:
@@ -175,26 +171,20 @@ def virtual_degree(graph: DecoratedGraph) -> VirtualDegree:
     W = graph.W
     g = graph.total_genus
     k = len(graph.tails)
-    c = central_charge(W)
-    D = c * (g - 1)
-    n_sum = Fraction(0)
-    for t in graph.tails:
-        sec = sector_data(W, t.gamma)
-        D += sec.iota
-        n_sum += sec.n_gamma
-    degree = 6 * g - 6 + 2 * k - 2 * D - 2 * len(graph.edges)
-    r = degree - n_sum
-    twoD = 2 * D
-    integral = twoD.denominator == 1
+    secs = [sector_data(W, t.gamma) for t in graph.tails]
+    # D = c_hat*(g-1) + sum of tail iotas, summed in integers over the
+    # lcm M of their denominators.
+    parts = [(g - 1, central_charge(W))] + [(1, sec.iota) for sec in secs]
+    M = math.lcm(*(x.denominator for _, x in parts))
+    D = sum(m * x.numerator * (M // x.denominator) for m, x in parts)
+    degree = (6 * g - 6 + 2 * k - 2 * len(graph.edges)) * M - 2 * D
+    r = degree - sum(sec.n_gamma for sec in secs) * M
+    integral = 2 * D % M == 0
     _, adm = line_bundle_degrees(W, g, [t.gamma for t in graph.tails])
-    return VirtualDegree(
-        D=D,
-        cycle_degree=degree,
-        r_value=r,
-        two_D_integral=integral,
-        two_D_parity_odd=(int(twoD) % 2 == 1) if integral else None,
-        degrees_integral=adm,
-    )
+    return VirtualDegree(D=Fraction(D, M), cycle_degree=Fraction(degree, M),
+                         r_value=Fraction(r, M), two_D_integral=integral,
+                         two_D_parity_odd=(2 * D // M % 2 == 1) if integral else None,
+                         degrees_integral=adm)
 
 
 def cut_edge(graph: DecoratedGraph, edge_index: int) -> DecoratedGraph:
@@ -218,7 +208,7 @@ def glue_tails(graph: DecoratedGraph, i: int, j: int) -> DecoratedGraph:
     if i == j:
         raise GraphError("cannot glue a tail to itself")
     ti, tj = graph.tails[i], graph.tails[j]
-    if ti.gamma * tj.gamma != GroupElement(tuple(Fraction(0) for _ in ti.gamma.theta)):
+    if not (ti.gamma * tj.gamma).is_identity:
         raise GraphError("tail decorations are not inverse to each other")
     tails = tuple(t for k, t in enumerate(graph.tails) if k not in (i, j))
     edges = graph.edges + (Edge(ti.vertex, tj.vertex, ti.gamma),)

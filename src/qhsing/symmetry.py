@@ -1,10 +1,10 @@
 """Diagonal symmetry groups of quasi-homogeneous polynomials.
 
 A group element gamma acts on coordinate i by exp(2*pi*1j*Theta_i) with
-rational phases Theta_i in [0, 1).  Membership in the symmetry group of
-W means every monomial phase sum B.Theta is an integer.  The full group
-is enumerated from the exact inverse of a square block of the exponent
-matrix; all phase arithmetic is exact.
+rational phases Theta_i = k_i / d in [0, 1), held as integers k_i over
+the element's order d.  Membership in the symmetry group of W means
+every monomial phase sum B.k is 0 mod d.  The full group is enumerated
+from the exact inverse of a square block of the exponent matrix.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -35,43 +34,69 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False, slots=True)
 class GroupElement:
-    """A diagonal symmetry, stored as exact phase fractions in [0, 1)."""
+    """Phases Theta_i = k_i / d with d the order, so (k, d) is canonical.
 
-    theta: tuple[Fraction, ...]
+    Built from int or Fraction phases in [0, 1); `theta` is the Fraction view.
+    """
 
-    def __post_init__(self):
-        for t in self.theta:
-            if not (0 <= t < 1):
-                raise ValueError(f"phase {t} outside [0, 1)")
+    k: tuple[int, ...]
+    d: int
+
+    def __init__(self, theta):
+        theta = tuple(theta)
+        for t in theta:
+            if not (isinstance(t, (int, Fraction)) and 0 <= t.numerator < t.denominator):
+                raise ValueError(f"phase {t!r} is not an int or a Fraction in [0, 1)")
+        d = math.lcm(*(t.denominator for t in theta))
+        object.__setattr__(self, "k", tuple(t.numerator * (d // t.denominator) for t in theta))
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def from_phases(phases) -> "GroupElement":
         return GroupElement(tuple(Fraction(p) % 1 for p in phases))
 
     @property
+    def theta(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.d) for x in self.k)
+
+    def __repr__(self) -> str:
+        return f"GroupElement(theta={self.theta!r})"
+
+    @property
     def n_vars(self) -> int:
-        return len(self.theta)
+        return len(self.k)
 
     @property
     def is_identity(self) -> bool:
-        return all(t == 0 for t in self.theta)
+        return self.d == 1
 
     @property
     def order(self) -> int:
-        return reduce(math.lcm, (t.denominator for t in self.theta), 1)
+        return self.d
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if len(self.theta) != len(other.theta):
+        if len(self.k) != len(other.k):
             raise ValueError("group elements live on different variable sets")
-        return GroupElement(tuple((a + b) % 1 for a, b in zip(self.theta, other.theta)))
+        d = math.lcm(self.d, other.d)
+        a, b = d // self.d, d // other.d
+        return _element([(x * a + y * b) % d for x, y in zip(self.k, other.k)], d)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(tuple(-t % 1 for t in self.theta))
+        return _element([-x % self.d for x in self.k], self.d)
 
-    def __pow__(self, k: int) -> "GroupElement":
-        return GroupElement(tuple(k * t % 1 for t in self.theta))
+    def __pow__(self, n: int) -> "GroupElement":
+        return _element([n * x % self.d for x in self.k], self.d)
+
+
+def _element(k, d: int) -> GroupElement:
+    """The element with phases k_i / d, each k_i in [0, d), over its order."""
+    g = math.gcd(d, *k)
+    e = object.__new__(GroupElement)
+    object.__setattr__(e, "k", tuple(x // g for x in k))
+    object.__setattr__(e, "d", d // g)
+    return e
 
 
 @dataclass(frozen=True)
@@ -90,11 +115,8 @@ def is_member(W: QHPoly, gamma: GroupElement) -> bool:
     """True iff every monomial phase sum B.Theta is an integer."""
     if gamma.n_vars != W.n_vars:
         return False
-    for row in W.exponents:
-        s = sum(b * t for b, t in zip(row, gamma.theta))
-        if s.denominator != 1:
-            return False
-    return True
+    k, d = gamma.k, gamma.d
+    return all(sum(b * x for b, x in zip(row, k)) % d == 0 for row in W.exponents)
 
 
 def enumerate_group(W: QHPoly) -> tuple[GroupElement, ...]:
@@ -124,9 +146,8 @@ def enumerate_group(W: QHPoly) -> tuple[GroupElement, ...]:
             frontier += [tuple((a + b) % D for a, b in zip(v, g)) for g in gens]
     if len(lattice) != D:
         raise RuntimeError(f"lattice closure holds {len(lattice)} phase vectors, not |det| = {D}")
-    # Theta = v / D is a symmetry iff B.v = 0 mod D (is_member in integers).
-    return tuple(GroupElement(tuple(Fraction(k, D) for k in v)) for v in sorted(lattice)
-                 if all(sum(b * k for b, k in zip(row, v)) % D == 0 for row in W.exponents))
+    # Sorting the numerators v sorts the phases v / D.
+    return tuple(g for g in (_element(v, D) for v in sorted(lattice)) if is_member(W, g))
 
 
 def exponential_grading(W: QHPoly) -> GroupElement:
@@ -139,24 +160,22 @@ def exponential_grading(W: QHPoly) -> GroupElement:
 
 def central_charge(W: QHPoly) -> Fraction:
     """Exact sum of (1 - 2 q_i)."""
-    return sum((1 - 2 * q for q in W.weights), Fraction(0))
+    n, w = W.weights_over_lcm
+    return Fraction(len(n) * w - 2 * sum(n), w)
 
 
 def sector_data(W: QHPoly, gamma: GroupElement) -> Sector:
     """Fixed locus, degree shift and Ramond/NS type for one element."""
     if not is_member(W, gamma):
         raise ValueError(f"{gamma} is not a symmetry of the polynomial")
-    fixed = tuple(i for i, t in enumerate(gamma.theta) if t == 0)
-    iota = sum((t - q for t, q in zip(gamma.theta, W.weights)), Fraction(0))
-    w_gamma = tuple(
-        j for j, row in enumerate(W.exponents)
-        if sum(b * t for b, t in zip(row, gamma.theta)) == 0)
-    return Sector(gamma=gamma,
-                  fixed_indices=fixed,
-                  n_gamma=len(fixed),
-                  iota=iota,
-                  w_gamma_monomials=w_gamma,
-                  is_ramond=len(fixed) > 0)
+    k, d = gamma.k, gamma.d
+    n, w = W.weights_over_lcm
+    fixed = tuple(i for i, x in enumerate(k) if x == 0)
+    iota = Fraction(sum(k) * w - sum(n) * d, d * w)
+    w_gamma = tuple(j for j, row in enumerate(W.exponents)
+                    if sum(b * x for b, x in zip(row, k)) == 0)
+    return Sector(gamma=gamma, fixed_indices=fixed, n_gamma=len(fixed), iota=iota,
+                  w_gamma_monomials=w_gamma, is_ramond=len(fixed) > 0)
 
 
 def restricted_polynomial(W: QHPoly, gamma: GroupElement) -> QHPoly | None:
@@ -169,19 +188,11 @@ def restricted_polynomial(W: QHPoly, gamma: GroupElement) -> QHPoly | None:
     sec = sector_data(W, gamma)
     if not sec.w_gamma_monomials:
         return None
-    fixed = sec.fixed_indices
-    pos = {i: k for k, i in enumerate(fixed)}
-    monos = []
-    for j in sec.w_gamma_monomials:
-        row = W.exponents[j]
-        new_row = [0] * len(fixed)
-        for i, e in enumerate(row):
-            if e:
-                if i not in pos:
-                    raise RuntimeError("invariant monomial uses a moved variable")
-                new_row[pos[i]] = e
-        monos.append((new_row, W.coeffs[j]))
-    return QHPoly.from_monomials(len(fixed), monos)
+    # An invariant monomial has B.k = 0 with every k_i >= 0, so it uses
+    # only fixed variables.
+    return QHPoly.from_monomials(len(sec.fixed_indices), [
+        ([W.exponents[j][i] for i in sec.fixed_indices], W.coeffs[j])
+        for j in sec.w_gamma_monomials])
 
 
 @dataclass(frozen=True)
@@ -206,9 +217,8 @@ def gluing_involution(W: QHPoly, choice: int = 0) -> Involution:
     by a symmetry group element and are selected by the `choice` index
     (xi -> xi * exp(2 pi i choice / d)).
     """
-    d = reduce(math.lcm, (q.denominator for q in W.weights), 1)
-    turns = tuple(Fraction((q * d).numerator * (1 + 2 * choice), 2 * d) for q in W.weights)
-    inv = Involution(tuple(t % 1 for t in turns))
+    n, d = W.weights_over_lcm
+    inv = Involution(tuple(Fraction(ni * (1 + 2 * choice) % (2 * d), 2 * d) for ni in n))
     # W(I u) = -W(u) holds exactly when I multiplies every monomial by -1.
     for row in W.exponents:
         if sum(b * t for b, t in zip(row, inv.turns)) % 1 != Fraction(1, 2):

@@ -100,6 +100,12 @@ class QHPoly:
         return tuple(terms)
 
     @cached_property
+    def weights_over_lcm(self) -> tuple[tuple[int, ...], int]:
+        """The weights as integer numerators n_i over their lcm denominator w."""
+        w = math.lcm(*(q.denominator for q in self.weights))
+        return tuple(q.numerator * (w // q.denominator) for q in self.weights), w
+
+    @cached_property
     def value_terms(self) -> tuple[tuple[tuple[complex, tuple], ...]]:
         """The terms of W itself, as a one-entry term table.  Built on first use."""
         return (self._derivative_terms(),)
@@ -451,10 +457,10 @@ def check_nondegenerate(W: QHPoly, n_starts: int = 200, seed: int = 0) -> bool:
 
 def growth_bound_supremum(W: QHPoly, radius: float, n_samples: int = 10_000,
                           seed: int = 0) -> float:
-    """Sampled supremum of |u_i| / (sum_k |dW/du_k| + 1)^{delta_i}.
+    """A sampled lower bound on sup |u_i| / (sum_k |dW/du_k| + 1)^{delta_i}.
 
-    Operationalizes the growth estimate at desk scale: the supremum over
-    a ball should stabilize as the radius grows.
+    The largest ratio at n_samples points of the ball drawn from seed, so the
+    bound is fixed by seed; it should stabilize as the radius grows.
     """
     rng = np.random.default_rng(seed)
     deltas = [float(d) for d in growth_exponents(W)]

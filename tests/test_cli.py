@@ -94,6 +94,21 @@ class TestGraph:
         assert status == 2
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+PINNED = {"fermat_pair": "x^3+y^3", "chain": "x^2*y+y^3*z+z^4", "loop": "x^2*y+y^2*z+z^2*x"}
+
+
+@pytest.mark.parametrize("command", ["group", "sectors", "graph"])
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_output_is_pinned(capsys, name, command):
+    # tests/golden holds the exact bytes these commands print: a Fermat pair,
+    # a chain and a loop, with one graph file each.
+    args = ["--graph", str(GOLDEN / f"{name}.graph")] if command == "graph" else [PINNED[name]]
+    status, out = run(capsys, command, *args)
+    assert status == 0
+    assert out.encode() == (GOLDEN / f"{name}.{command}.txt").read_bytes()
+
+
 class TestMorseCommands:
     def test_perturb(self, capsys):
         status, out = run(capsys, "perturb", "x^3", "--b", "3")

@@ -103,6 +103,34 @@ class TestSelectionRule:
             line_bundle_degrees(W, 0, [GroupElement((F(1, 2),))])
 
 
+    @pytest.mark.parametrize("text", CORPUS + ["x^2*y+y^3*z+z^4"])
+    def test_against_fraction_reference(self, text):
+        # Degrees, D, cycle degree, r and the 2D flags from plain Fraction sums.
+        W = parse_polynomial(text)
+        q, c = W.weights, central_charge(W)
+        group = enumerate_group(W)
+        for a, b in zip(group, group[1:] + group[:1]):
+            for g, tails in ((0, [a, b, (a * b).inverse()]), (1, [a, b]), (2, [a]), (0, [a])):
+                want = tuple(qi * (2 * g - 2 + len(tails))
+                             - sum((t.theta[i] for t in tails), F(0))
+                             for i, qi in enumerate(q))
+                assert line_bundle_degrees(W, g, tails) == (
+                    want, all(x.denominator == 1 for x in want))
+                iotas = [sum((t - qi for t, qi in zip(gam.theta, q)), F(0)) for gam in tails]
+                D = c * (g - 1) + sum(iotas)
+                graph = DecoratedGraph(W=W, genera=(g,), edges=(),
+                                       tails=tuple(Tail(0, gam) for gam in tails),
+                                       allow_unstable=True)
+                vd = virtual_degree(graph)
+                assert vd.D == D
+                assert vd.cycle_degree == 6 * g - 6 + 2 * len(tails) - 2 * D
+                assert vd.r_value == vd.cycle_degree - sum(
+                    sum(1 for t in gam.theta if t == 0) for gam in tails)
+                assert vd.two_D_integral == ((2 * D).denominator == 1)
+                assert vd.two_D_parity_odd == (
+                    int(2 * D) % 2 == 1 if vd.two_D_integral else None)
+
+
 class TestWittenIndex:
     def test_point_class_value(self):
         W = parse_polynomial("x^3")

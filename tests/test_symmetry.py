@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -53,8 +54,43 @@ class TestGroupElement:
         with pytest.raises(ValueError):
             GroupElement((F(3, 2),))
 
+    @pytest.mark.parametrize("phase", [0.5, "1/3"], ids=["float", "str"])
+    def test_malformed_phase_is_named(self, phase):
+        with pytest.raises(ValueError, match=f"phase {phase!r} is not an int or a Fraction"):
+            GroupElement((F(0), phase))
+
     def test_from_phases_reduces(self):
         assert GroupElement.from_phases([F(7, 3)]).theta == (F(1, 3),)
+
+    def test_held_over_its_order(self):
+        a = GroupElement((F(1, 6), F(1, 2), F(0)))
+        assert (a.k, a.d) == ((1, 3, 0), 6)
+        assert GroupElement(t for t in a.theta) == a
+        assert ((a ** 3).k, (a ** 3).d) == ((1, 1, 0), 2)
+        assert GroupElement((F(0),)).d == 1
+
+
+# Chain and loop groups have elements of several orders in one group.
+ARITHMETIC_CORPUS = CORPUS + ["x^2*y+y^3*z+z^4", "x^2*y+y^2*z+z^2*x"]
+
+
+@pytest.mark.parametrize("text", ARITHMETIC_CORPUS)
+def test_integer_arithmetic_matches_fractions(text):
+    # Reference: plain Fraction phase arithmetic mod 1.
+    group = enumerate_group(parse_polynomial(text))
+    for a in group:
+        ta = a.theta
+        assert all(isinstance(t, Fraction) and 0 <= t < 1 for t in ta)
+        assert GroupElement(ta) == a and hash(GroupElement(ta)) == hash(a)
+        assert a.order == math.lcm(*(t.denominator for t in ta))
+        assert a.is_identity == all(t == 0 for t in ta)
+        assert a.inverse().theta == tuple(-t % 1 for t in ta)
+        for n in range(-2, a.order + 2):
+            assert (a ** n).theta == tuple(n * t % 1 for t in ta)
+        for b in group:
+            want = tuple((s + t) % 1 for s, t in zip(ta, b.theta))
+            assert (a * b).theta == want
+            assert a * b == GroupElement(want) and hash(a * b) == hash(GroupElement(want))
 
 
 class TestEnumerate:
