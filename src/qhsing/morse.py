@@ -1,7 +1,8 @@
 """Linear Morse perturbations of a sector polynomial.
 
 Adds W0 = sum b_i x_i to a quasi-homogeneous polynomial, finds all of
-its critical points by multistart Newton, classifies regular / strongly
+its critical points (in closed form on each one-variable summand c x^n,
+by multistart Newton on the others), classifies regular / strongly
 regular perturbations, and locates wall crossings (coincidences of
 imaginary critical values) along parameter paths by continuation with
 an extrapolation predictor and Illinois refinement of each crossing.
@@ -9,6 +10,7 @@ an extrapolation predictor and Illinois refinement of each crossing.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -132,14 +134,35 @@ def _multistart(W: QHPoly, b: tuple[complex, ...], seed: int,
     return roots, iterations
 
 
+def _summand_roots(W: QHPoly, b: tuple[complex, ...], seed: int,
+                   n_starts: int) -> tuple[list[list[complex]], int]:
+    """The distinct critical points of the summand W + sum b_i x_i, and the Newton iterations.
+
+    A one-variable summand c x^n has the n - 1 roots of n c x^(n-1) = -b,
+    each polished by Newton; any other summand takes the multistart.
+    """
+    if W.n_vars > 1:
+        return _multistart(W, b, seed, n_starts)
+    (n,), c = W.exponents[0], W.coeffs[0]
+    w = -b[0] / (n * c)
+    rho, theta = abs(w) ** (1.0 / (n - 1)), cmath.phase(w)
+    roots, iterations = [], 0
+    for k in range(n - 1):
+        u, its = _newton(W, b, [cmath.rect(rho, (theta + 2 * math.pi * k) / (n - 1))])
+        _add_root(roots, u)
+        iterations += its
+    return roots, iterations
+
+
 def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0,
                          n_starts: int = NEWTON_STARTS) -> MorseData:
     """All critical points of W + sum b_i x_i, certified by count.
 
-    Multistart Newton (n_starts starts) finds the critical points of each
-    summand of W (a block of variables that no monomial mixes) on its own.
-    On a direct sum their products are polished by Newton on the whole of
-    W (Thom-Sebastiani).  Completeness is certified by comparing the count
+    The critical points of each summand of W (a block of variables that no
+    monomial mixes) are found on their own: in closed form on a summand in
+    one variable, by multistart Newton (n_starts starts) on any other.  On
+    a direct sum their products are polished by Newton on the whole of W
+    (Thom-Sebastiani).  Completeness is certified by comparing the count
     of distinct roots with the Milnor number.
     """
     b = tuple(complex(v) for v in b)
@@ -156,11 +179,11 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0,
                 f"b = 0 on the summand of W in {names}, which has a degenerate critical point at 0"))
 
     if len(blocks) == 1:
-        roots, iterations = _multistart(W, b, seed, n_starts)
+        roots, iterations = _summand_roots(W, b, seed, n_starts)
     else:
         parts, iterations = [], 0
         for block in blocks:
-            pts, k = _multistart(W.restrict(block), tuple(b[v] for v in block), seed, n_starts)
+            pts, k = _summand_roots(W.restrict(block), tuple(b[v] for v in block), seed, n_starts)
             parts.append(pts)
             iterations += k
         # Thom-Sebastiani: the critical points of W are the products of its

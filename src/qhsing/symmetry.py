@@ -55,7 +55,8 @@ class GroupElement:
 
     @staticmethod
     def from_phases(phases) -> "GroupElement":
-        return GroupElement(tuple(Fraction(p) % 1 for p in phases))
+        """The element with int or Fraction phases reduced mod 1; others are refused."""
+        return GroupElement(p % 1 if isinstance(p, (int, Fraction)) else p for p in phases)
 
     @property
     def theta(self) -> tuple[Fraction, ...]:

@@ -438,7 +438,7 @@ def check_nondegenerate(W: QHPoly, n_starts: int = 200, seed: int = 0) -> bool:
     """Nondegeneracy from the support test, then a count of critical points.
 
     False if W fails the support test, and only then.  Otherwise True once
-    morse.find_critical_points (n_starts Newton starts per summand) finds
+    morse.find_critical_points (n_starts starts per multistart) finds
     mu = prod(1/q_i - 1) critical points of W + sum b_i x_i, with b drawn
     from the seed.  By weighted Bezout a degenerate W has at most mu - 1
     isolated critical points at any b, as its critical cone meets the
@@ -467,9 +467,10 @@ def growth_bound_supremum(W: QHPoly, radius: float, n_samples: int = 10_000,
     n = W.n_vars
     sup = 0.0
     for _ in range(n_samples):
-        u = rng.normal(size=n) + 1j * rng.normal(size=n)
-        u *= radius * rng.random() ** (1.0 / (2 * n)) / max(np.linalg.norm(u), 1e-30)
-        u = u.tolist()
+        # One draw of 2n normals is the stream of two draws of n: Re, then Im.
+        xy = rng.normal(size=2 * n).tolist()
+        s = radius * rng.random() ** (1.0 / (2 * n)) / max(_norm(xy), 1e-30)
+        u = [complex(x * s, y * s) for x, y in zip(xy[:n], xy[n:])]
         denom = sum(map(abs, W.gradient_values(u))) + 1.0
         for i in range(n):
             ratio = abs(u[i]) / denom ** deltas[i]

@@ -8,7 +8,11 @@ from qhsing import morse
 from qhsing.morse import (MorseError, detect_wall_crossings,
                           find_critical_points, is_strongly_regular,
                           morse_report, perturbed_gradient)
-from qhsing.wpoly import milnor_number, parse_polynomial
+from qhsing.wpoly import QHPoly, milnor_number, parse_polynomial
+
+
+def _no_multistart(*args, **kwargs):
+    raise AssertionError("multistart ran on a one-variable summand")
 
 
 class TestFindCriticalPoints:
@@ -40,6 +44,8 @@ class TestFindCriticalPoints:
         for u in m.critical_points:
             assert np.linalg.norm(perturbed_gradient(W, b, u)) < 1e-9
         assert all(sv > 1e-8 for sv in m.hessian_min_singular_value)
+        # An irreducible summand still takes the Newton multistart.
+        assert m.n_newton > 0
 
     @pytest.mark.parametrize("text, b", [("x^3+y^3", [1.0]), ("x^3", [1.0, 2.0])])
     def test_wrong_length_b_rejected(self, monkeypatch, text, b):
@@ -65,10 +71,12 @@ class TestFindCriticalPoints:
         (-1.481148 - 0.439745j, 0.560264 - 0.853592j, 0.016294 + 2.171815j),
         (-0.743675 + 2.490586j, -0.989697 - 0.391968j, -0.151097 - 2.819326j),
     ])
-    def test_fermat_quartic_sum_products(self, b):
+    def test_fermat_quartic_sum_products(self, monkeypatch, b):
         # x^4 + y^4 + z^4: the critical points are all 27 products of the
         # roots of 4 x^3 + b_i = 0.  A 200-start multistart over the whole
-        # sum used to find only 26 of them at these b.
+        # sum used to find only 26 of them at these b; each summand now
+        # takes its roots in closed form, with no multistart.
+        monkeypatch.setattr(morse, "_multistart", _no_multistart)
         m = find_critical_points(parse_polynomial("x^4+y^4+z^4"), b)
         roots = [[(-c / 4) ** (1 / 3) * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
                  for c in b]
@@ -77,8 +85,7 @@ class TestFindCriticalPoints:
         assert m.mu == len(want) == 27
         for w in want:
             k = min(range(len(got)), key=lambda k: np.linalg.norm(np.subtract(got[k], w)))
-            assert np.linalg.norm(np.subtract(got.pop(k), w)) < 1e-9
-        assert m.n_newton > 0
+            assert np.linalg.norm(np.subtract(got.pop(k), w)) < 1e-12
 
     @pytest.mark.parametrize("text", ["x^3+y^3", "x^3+y^4", "x^3+x*y^2+z^3"])
     def test_direct_sum_matches_whole_multistart(self, text):
@@ -105,6 +112,44 @@ class TestFindCriticalPoints:
         m = find_critical_points(parse_polynomial("x^3"), [-3.15])
         lo, hi = (m.critical_values[k] for k in m.ordering)
         assert lo.real < 0 < hi.real
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_monomial_against_numpy_roots(self, monkeypatch, n):
+        # c x^n + b x: the roots of n c x^(n-1) + b from the eigenvalues of
+        # its companion matrix, an oracle that takes no roots of unity.
+        monkeypatch.setattr(morse, "_multistart", _no_multistart)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            c, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+            m = find_critical_points(QHPoly.from_monomials(1, [((n,), c)]), [b])
+            want = np.roots([n * c] + [0] * (n - 2) + [b])
+            got = [p[0] for p in m.critical_points]
+            assert m.mu == len(want) == n - 1
+            for w in want:
+                k = min(range(len(got)), key=lambda k: abs(got[k] - w))
+                assert abs(got.pop(k) - w) < 1e-13
+
+    def test_mixed_sum_runs_one_multistart(self, monkeypatch):
+        # x^3 + x y^2 + z^4: the chain summand takes the multistart, the
+        # one-variable summand z^4 its closed form.
+        calls = []
+        multistart = morse._multistart
+
+        def counted(W, *args):
+            calls.append(W.n_vars)
+            return multistart(W, *args)
+
+        monkeypatch.setattr(morse, "_multistart", counted)
+        W = parse_polynomial("x^3+x*y^2+z^4")
+        rng = np.random.default_rng(8)
+        b = rng.normal(size=3) + 1j * rng.normal(size=3)
+        m = find_critical_points(W, b)
+        assert calls == [2]
+        assert m.mu == milnor_number(W) == 12
+        for u in m.critical_points:
+            assert np.linalg.norm(perturbed_gradient(W, b, u)) < 1e-9
 
 
 class TestStrongRegularity:

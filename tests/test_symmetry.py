@@ -62,6 +62,11 @@ class TestGroupElement:
     def test_from_phases_reduces(self):
         assert GroupElement.from_phases([F(7, 3)]).theta == (F(1, 3),)
 
+    @pytest.mark.parametrize("phase", [0.1, "1/3"], ids=["float", "str"])
+    def test_from_phases_refuses_malformed_phase(self, phase):
+        with pytest.raises(ValueError, match=f"phase {phase!r} is not an int or a Fraction"):
+            GroupElement.from_phases([F(1, 2), phase])
+
     def test_held_over_its_order(self):
         a = GroupElement((F(1, 6), F(1, 2), F(0)))
         assert (a.k, a.d) == ((1, 3, 0), 6)

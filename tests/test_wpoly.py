@@ -250,6 +250,43 @@ class TestInvariants:
             assert cur <= prev * 1.05
 
 
+def _numpy_growth_bound(W, radius, n_samples, seed):
+    # Reference: the sampling loop on numpy vectors, one draw each for Re and Im.
+    rng = np.random.default_rng(seed)
+    deltas = [float(d) for d in growth_exponents(W)]
+    n = W.n_vars
+    sup = 0.0
+    for _ in range(n_samples):
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        u *= radius * rng.random() ** (1.0 / (2 * n)) / max(np.linalg.norm(u), 1e-30)
+        u = u.tolist()
+        denom = sum(map(abs, W.gradient_values(u))) + 1.0
+        for i in range(n):
+            ratio = abs(u[i]) / denom ** deltas[i]
+            if ratio > sup:
+                sup = ratio
+    return sup
+
+
+class TestGrowthBound:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_one_draw_is_the_stream_of_two(self, n):
+        one, two = np.random.default_rng(n), np.random.default_rng(n)
+        xy = one.normal(size=2 * n)
+        assert np.array_equal(xy[:n], two.normal(size=n))
+        assert np.array_equal(xy[n:], two.normal(size=n))
+        assert one.random() == two.random()
+
+    @pytest.mark.parametrize("text", ["x^3", "x^5+y^4", "x^3+y^3+z^3", "x^2*y+y^3",
+                                      "x^2*y+y^3*z+z^4", "x^3+x*y^2"])
+    def test_matches_numpy_loop(self, text):
+        W = parse_polynomial(text)
+        for seed, radius in [(1, 4.0), (2, 8.0), (3, 16.0)]:
+            want = _numpy_growth_bound(W, radius, 500, seed)
+            got = wpoly.growth_bound_supremum(W, radius, n_samples=500, seed=seed)
+            assert abs(got - want) <= 1e-15 * want
+
+
 class TestGrowthExponents:
     def test_cubic(self):
         W = parse_polynomial("x^3")
