@@ -54,11 +54,18 @@ def solve(A, b) -> tuple[Fraction, ...]:
     return tuple(row[n] for row in rows[:n])
 
 
+def _square(A) -> list[list[Fraction]]:
+    """The rows of A as Fractions; ValueError unless A is square."""
+    rows = [[Fraction(v) for v in row] for row in A]
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"matrix is not square: row lengths {[len(row) for row in rows]}")
+    return rows
+
+
 def inverse(A) -> list[list[Fraction]]:
     """Inverse of a square matrix; RankError when it is singular."""
     n = len(A)
-    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(A)]
+    rows = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(_square(A))]
     if _gauss_jordan(rows, n)[0] < n:
         raise RankError("singular matrix")
     return [row[n:] for row in rows]
@@ -66,9 +73,9 @@ def inverse(A) -> list[list[Fraction]]:
 
 def det(A) -> Fraction:
     """Determinant of a square matrix."""
-    n = len(A)
-    rank, factor = _gauss_jordan([[Fraction(v) for v in row] for row in A], n)
-    return factor if rank == n else Fraction(0)
+    rows = _square(A)
+    rank, factor = _gauss_jordan(rows, len(rows))
+    return factor if rank == len(rows) else Fraction(0)
 
 
 def rank(A) -> int:

@@ -6,8 +6,8 @@ virtual-cycle coordinate vectors expressed over the current basis.
 Orientation, braid and Gabrielov moves are unimodular changes of
 basis, applied as elementary row and column operations on R.  A
 monodromy h_i is a rank-1 change of determinant 1 + pl_sign * R[i][i]
-and is refused unless that is +-1.  Wall crossings act directly on the
-coordinate vectors.  Everything is exact (int / Fraction).
+and is refused unless that is +-1.  A wall crossing is a braid move's
+row operation on the cycle vectors alone.  Everything is exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ class ThimbleState:
             raise ValueError("intersection matrix violates its symmetry type")
         if len(self.labels) != self.mu:
             raise ValueError("label count mismatch")
-        if self.cycle_coords is not None:
-            for v in self.cycle_coords:
-                if len(v) != self.mu:
-                    raise ValueError("cycle vector length mismatch")
+        if self.cycle_coords is not None and any(len(v) != self.mu for v in self.cycle_coords):
+            raise ValueError("cycle vector length mismatch")
 
     @staticmethod
     def make(R, n_gamma: int = 1, labels: Sequence[str] | None = None,
@@ -78,12 +76,9 @@ class ThimbleState:
         mu = len(R)
         parity = 1 if (n_gamma - 1) % 2 == 0 else -1
         labels = tuple(labels) if labels is not None else tuple(f"d{i + 1}" for i in range(mu))
-        coords = None
-        if cycle_coords is not None:
-            coords = tuple(tuple(Fraction(x) for x in v) for v in cycle_coords)
         return ThimbleState(mu=mu, R=R, parity=parity,
                             pl_sign=pl_sign(n_gamma), labels=labels,
-                            cycle_coords=coords)
+                            cycle_coords=None if cycle_coords is None else _mat(cycle_coords))
 
     def pairing(self, v, w) -> Fraction:
         """Intersection value of two coordinate vectors in this basis."""
@@ -203,26 +198,21 @@ def wall_cross(state: ThimbleState, i: int, direction: str,
         v_i(+)   = v_{i+1}(-) + r * v_i(-)
         v_{i+1}(+) = v_i(-)
     Right is the exact inverse with the same r, so Left followed by
-    Right is the identity.  Slots other than i, i+1 are unchanged.
+    Right is the identity.  Both are braid-type row operations on the
+    cycle vectors alone; the labels of slots i, i+1 swap.
     """
     _check_index(state, i)
     _check_index(state, i + 1)
     if state.cycle_coords is None:
         raise ValueError("wall crossing needs cycle coordinates")
     r = Fraction(r)
-    coords = [list(v) for v in state.cycle_coords]
-    a, b = coords[i], coords[i + 1]
     if direction.lower() == "left":
-        new_i = [bv + r * av for av, bv in zip(a, b)]
-        new_ip1 = list(a)
+        ops = {i: ((i + 1, 1), (i, r)), i + 1: ((i, 1),)}
     elif direction.lower() == "right":
-        new_i = list(b)
-        new_ip1 = [av - r * bv for av, bv in zip(a, b)]
+        ops = {i: ((i + 1, 1),), i + 1: ((i, 1), (i + 1, -r))}
     else:
         raise ValueError("direction must be 'left' or 'right'")
-    coords[i], coords[i + 1] = new_i, new_ip1
-    return replace(state,
-                   cycle_coords=tuple(tuple(v) for v in coords),
+    return replace(state, cycle_coords=tuple(_row_ops(list(state.cycle_coords), ops)),
                    labels=_swapped(state.labels, i))
 
 
@@ -235,20 +225,18 @@ class RationalTensor:
 
     @staticmethod
     def from_nested(nested) -> "RationalTensor":
-        def conv(x):
-            if isinstance(x, (list, tuple)):
-                return tuple(conv(v) for v in x)
-            return Fraction(x)
+        """Tensor of the nested lists or tuples; ValueError if they are ragged."""
+        def conv(x) -> tuple:
+            if not isinstance(x, (list, tuple)):
+                return (), Fraction(x)
+            parts = [conv(v) for v in x]
+            shapes = {shape for shape, _ in parts}
+            if len(shapes) > 1:
+                raise ValueError("ragged tensor: entries of shapes "
+                                 + ", ".join(map(str, sorted(shapes))))
+            return (len(x),) + (shapes.pop() if shapes else ()), tuple(d for _, d in parts)
 
-        def shape_of(x):
-            if isinstance(x, tuple) and x and isinstance(x[0], tuple):
-                return (len(x),) + shape_of(x[0])
-            if isinstance(x, tuple):
-                return (len(x),)
-            return ()
-
-        data = conv(nested)
-        return RationalTensor(shape=shape_of(data), data=data)
+        return RationalTensor(*conv(nested))
 
     def __getitem__(self, idx: tuple[int, ...]) -> Fraction:
         x = self.data
@@ -267,8 +255,7 @@ def casimir(pairing) -> RationalTensor:
     Coefficient c[i][j] multiplies basis_i (x) basis_j, with
     c = pairing^{-1}.
     """
-    eta_inv = exact.inverse(pairing)
-    return RationalTensor.from_nested(eta_inv)
+    return RationalTensor.from_nested(exact.inverse(pairing))
 
 
 def contract_pm(tensor: RationalTensor, pairing,
@@ -287,22 +274,11 @@ def contract_pm(tensor: RationalTensor, pairing,
         raise ValueError("pairing dimensions do not match the contracted slots")
     norm = Fraction(normalization)
 
-    out_shape = tensor.shape[:-2]
+    def contract(x, rank: int):
+        if rank > 2:
+            return tuple(contract(y, rank - 1) for y in x)
+        return norm * sum((x[a][b] * eta[b][a] for a in range(na) for b in range(nb)),
+                          Fraction(0))
 
-    def contract_at(prefix):
-        total = Fraction(0)
-        for a in range(na):
-            for b in range(nb):
-                total += tensor[prefix + (a, b)] * eta[b][a]
-        return norm * total
-
-    if not out_shape:
-        return contract_at(())
-
-    def build(dim_idx, prefix):
-        if dim_idx == len(out_shape):
-            return contract_at(prefix)
-        return tuple(build(dim_idx + 1, prefix + (k,))
-                     for k in range(out_shape[dim_idx]))
-
-    return RationalTensor(shape=out_shape, data=build(0, ()))
+    out = contract(tensor.data, tensor.rank)
+    return out if tensor.rank == 2 else RationalTensor(shape=tensor.shape[:-2], data=out)

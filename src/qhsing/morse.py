@@ -34,6 +34,7 @@ GRAD_TOL = 1e-10          # Newton residual bound certifying a critical point
 HESS_MIN_SV = 1e-8        # nondegeneracy floor for the Hessian
 SEPARATION = 1e-6         # minimal distance between distinct roots
 NEWTON_STARTS = 200       # default Newton start budget of each multistart
+NEWTON_MAX_ITER = 80      # Newton iterations from one start before it is given up
 WALL_STEPS = 200          # continuation grid on the path parameter [0, 1]
 WALL_REFINE_TOL = 1e-14   # bracket width at which a crossing is reported
 
@@ -68,13 +69,13 @@ def perturbed_gradient(W: QHPoly, b, u) -> np.ndarray:
     return gradient(W, u) + np.asarray(b, dtype=complex)
 
 
-def _newton(W: QHPoly, b, u0, max_iter: int = 80) -> tuple[list[complex] | None, int]:
+def _newton(W: QHPoly, b, u0) -> tuple[list[complex] | None, int]:
     """Damped Newton for grad W + b = 0 from u0: (the root or None, iterations).
 
     Runs on lists of Python complex; b is a sequence of N complex.
     """
     u = [complex(c) for c in u0]
-    for k in range(max_iter):
+    for k in range(NEWTON_MAX_ITER):
         g = list(map(add, W.gradient_values(u), b))
         if _norm(g) < GRAD_TOL:
             return u, k
@@ -87,7 +88,7 @@ def _newton(W: QHPoly, b, u0, max_iter: int = 80) -> tuple[list[complex] | None,
             step = [c * (10.0 / norm) for c in step]
         u = list(map(sub, u, step))
     g = map(add, W.gradient_values(u), b)
-    return (u if _norm(g) < GRAD_TOL else None), max_iter
+    return (u if _norm(g) < GRAD_TOL else None), NEWTON_MAX_ITER
 
 
 def _add_root(roots: list[list[complex]], u: list[complex] | None) -> None:
@@ -160,10 +161,10 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0,
 
     The critical points of each summand of W (a block of variables that no
     monomial mixes) are found on their own: in closed form on a summand in
-    one variable, by multistart Newton (n_starts starts) on any other.  On
-    a direct sum their products are polished by Newton on the whole of W
-    (Thom-Sebastiani).  Completeness is certified by comparing the count
-    of distinct roots with the Milnor number.
+    one variable, by multistart Newton (n_starts starts) on any other.
+    Their products, one per root when W is irreducible, are polished by
+    Newton on the whole of W (Thom-Sebastiani).  Completeness is certified
+    by comparing the count of distinct roots with the Milnor number.
     """
     b = tuple(complex(v) for v in b)
     n = W.n_vars
@@ -178,25 +179,22 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0,
                 "unperturbed W has a degenerate critical point at 0" if len(blocks) == 1 else
                 f"b = 0 on the summand of W in {names}, which has a degenerate critical point at 0"))
 
-    if len(blocks) == 1:
-        roots, iterations = _summand_roots(W, b, seed, n_starts)
-    else:
-        parts, iterations = [], 0
-        for block in blocks:
-            pts, k = _summand_roots(W.restrict(block), tuple(b[v] for v in block), seed, n_starts)
-            parts.append(pts)
-            iterations += k
-        # Thom-Sebastiani: the critical points of W are the products of its
-        # summands' critical points; Newton on all of W polishes each product.
-        roots = []
-        for combo in itertools.product(*parts):
-            u = [0j] * n
-            for block, pt in zip(blocks, combo):
-                for v, c in zip(block, pt):
-                    u[v] = c
-            u, k = _newton(W, b, u)
-            _add_root(roots, u)
-            iterations += k
+    parts, iterations = [], 0
+    for block in blocks:
+        pts, k = _summand_roots(W.restrict(block), tuple(b[v] for v in block), seed, n_starts)
+        parts.append(pts)
+        iterations += k
+    # Thom-Sebastiani: the critical points of W are the products of its
+    # summands' critical points; Newton on all of W polishes each product.
+    roots = []
+    for combo in itertools.product(*parts):
+        u = [0j] * n
+        for block, pt in zip(blocks, combo):
+            for v, c in zip(block, pt):
+                u[v] = c
+        u, k = _newton(W, b, u)
+        _add_root(roots, u)
+        iterations += k
 
     if len(roots) != mu:
         raise MorseError(

@@ -254,9 +254,6 @@ def compute_weights(B: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
     return q
 
 
-_TERM_RE = re.compile(r"\s*([+-])?\s*")
-
-
 def _parse_coefficient(tok: str) -> complex:
     """Parse 'a', 'bi', or 'a+bi' (optionally parenthesized)."""
     tok = tok.strip()
@@ -274,36 +271,20 @@ def _parse_coefficient(tok: str) -> complex:
 def parse_polynomial(text: str) -> QHPoly:
     """Parse an expression like "x^3 + x*y^2" or "2*x1^4 + x1*x2^2".
 
-    Terms are separated by top-level + or -.  Each term is an optional
-    coefficient followed by '*'-joined variable powers.  Omitted
+    Terms are split at each + or - outside parentheses.  Each term is an
+    optional coefficient followed by '*'-joined variable powers.  Omitted
     coefficients default to 1.  Variables are x1..xN, or x,y,z,w for up
     to four variables.
     """
     s = text.replace(" ", "")
     if not s:
         raise PolynomialError("empty polynomial")
-    # Split into signed terms at top level (no parens nesting except coeffs).
-    terms: list[tuple[int, str]] = []
-    sign, i, depth, start = 1, 0, 0, 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        start = i = 1
-    while i <= len(s):
-        if i == len(s) or (s[i] in "+-" and depth == 0):
-            body = s[start:i]
-            if not body:
-                raise PolynomialError("empty term")
-            terms.append((sign, body))
-            if i < len(s):
-                sign = -1 if s[i] == "-" else 1
-                start = i + 1
-        elif s[i] == "(":
-            depth += 1
-        elif s[i] == ")":
-            depth -= 1
-        i += 1
+    # Split at the leading sign, if any, and at each + or - outside parentheses.
+    parts = re.split(r"(^[+-]?|[+-](?![^(]*\)))", s)
+    terms = [(-1 if sign == "-" else 1, body) for sign, body in zip(parts[1::2], parts[2::2])]
+    if not all(body for _, body in terms):
+        raise PolynomialError("empty term")
 
-    var_indices: set[int] = set()
     parsed: list[tuple[int, complex, list[tuple[int, int]]]] = []
     factor_re = re.compile(r"(x\d+|[xyzw])(?:\^(\d+))?")
     for sgn, body in terms:
@@ -316,14 +297,10 @@ def parse_polynomial(text: str) -> QHPoly:
                 name, exp = m.group(1), int(m.group(2) or 1)
                 if exp < 1:
                     raise PolynomialError(f"exponent must be >= 1 in {f!r}")
-                if name.startswith("x") and len(name) > 1 and name[1:].isdigit():
-                    idx = int(name[1:]) - 1
-                    if idx < 0:
-                        raise PolynomialError(f"bad variable {name!r}")
-                else:
-                    idx = _ALIAS[name]
+                idx = _ALIAS[name] if name in _ALIAS else int(name[1:]) - 1
+                if idx < 0:
+                    raise PolynomialError(f"bad variable {name!r}")
                 powers.append((idx, exp))
-                var_indices.add(idx)
             elif k == 0:
                 coeff = _parse_coefficient(f)
             else:
@@ -332,9 +309,8 @@ def parse_polynomial(text: str) -> QHPoly:
             raise PolynomialError(f"constant term {body!r} not allowed")
         parsed.append((sgn, coeff, powers))
 
-    if not var_indices:
-        raise PolynomialError("no variables found")
-    n_vars = max(var_indices) + 1
+    # Every term has a variable, and there is at least one term.
+    n_vars = max(idx for _, _, powers in parsed for idx, _ in powers) + 1
     monomials = []
     for sgn, coeff, powers in parsed:
         row = [0] * n_vars

@@ -40,6 +40,11 @@ class TestDet:
     def test_singular_is_zero(self):
         assert exact.det([[1, 2], [2, 4]]) == 0
 
+    def test_non_square_refused(self):
+        # Elimination on the first two columns alone used to return -3.
+        with pytest.raises(ValueError, match=r"^matrix is not square: row lengths \[3, 3\]$"):
+            exact.det([[1, 2, 3], [4, 5, 6]])
+
 
 class TestInverse:
     @pytest.mark.parametrize("seed", range(5))
@@ -58,6 +63,11 @@ class TestInverse:
     def test_rational_entries(self):
         A = [[Fraction(1, 2), 1], [Fraction(1, 3), Fraction(2, 5)]]
         assert exact.inverse(exact.inverse(A)) == A
+
+    def test_non_square_refused(self):
+        # A 2 x 3 matrix used to get a 2 x 3 "inverse".
+        with pytest.raises(ValueError, match=r"^matrix is not square: row lengths \[3, 3\]$"):
+            exact.inverse([[1, 0, 0], [0, 1, 0]])
 
 
 class TestRank:

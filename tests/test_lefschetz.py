@@ -302,6 +302,37 @@ class TestMovesAgainstMatrixProducts:
             monodromy_apply(st, 0)
 
 
+def reference_wall_cross(state, i, direction, r):
+    """Wall crossing with the update of the two cycle vectors written out."""
+    for k in (i, i + 1):
+        if not (0 <= k < state.mu):
+            raise IndexError(f"index {k} out of range for mu={state.mu}")
+    if state.cycle_coords is None:
+        raise ValueError("wall crossing needs cycle coordinates")
+    r = F(r)
+    coords = [list(v) for v in state.cycle_coords]
+    a, b = coords[i], coords[i + 1]
+    if direction.lower() == "left":
+        new_i, new_ip1 = [bv + r * av for av, bv in zip(a, b)], list(a)
+    elif direction.lower() == "right":
+        new_i, new_ip1 = list(b), [av - r * bv for av, bv in zip(a, b)]
+    else:
+        raise ValueError("direction must be 'left' or 'right'")
+    coords[i], coords[i + 1] = new_i, new_ip1
+    labels = list(state.labels)
+    labels[i], labels[i + 1] = labels[i + 1], labels[i]
+    return ThimbleState(mu=state.mu, R=state.R, parity=state.parity, pl_sign=state.pl_sign,
+                        labels=tuple(labels), cycle_coords=tuple(tuple(v) for v in coords))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
 class TestWallCross:
     def make_state(self, coords):
         return ThimbleState.make([[0, 1], [-1, 0]], n_gamma=2,
@@ -336,6 +367,34 @@ class TestWallCross:
         st = self.make_state([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             wall_cross(st, 0, "up", 1)
+
+    def test_matches_written_out_update(self):
+        rng = random.Random("wall-cross-reference")
+        kinds = set()
+        for case in range(600):
+            mu, n_gamma = rng.randint(2, 8), rng.randint(1, 4)
+            R = random_sym(rng, mu, 0) if n_gamma % 2 else random_antisym(rng, mu)
+            n_cycles = rng.randint(1, mu + 1)
+            coords = [[F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(mu)]
+                      for _ in range(n_cycles)]
+            st = ThimbleState.make(R, n_gamma=n_gamma,
+                                   cycle_coords=None if case % 50 == 0 else coords)
+            i = rng.randint(-1, mu - 1)
+            r = rng.choice([0, 1, -1, 2, F(rng.randint(-9, 9), rng.randint(1, 4)), 0.5, "1/3"])
+            direction = rng.choice(["left", "right", "Left", "RIGHT"])
+            # The written-out update read both cycle vectors before the direction, so an
+            # unknown direction is drawn only where both vectors exist.
+            if 0 <= i and i + 1 < min(mu, n_cycles) and rng.random() < 0.1:
+                direction = "up"
+            want = outcome(reference_wall_cross, st, i, direction, r)
+            got = outcome(wall_cross, st, i, direction, r)
+            assert got == want
+            if isinstance(want, ThimbleState):
+                assert all(type(x) is F for v in got.cycle_coords for x in v)
+                kinds.add("crossed")
+            else:
+                kinds.add(want[0])
+        assert kinds == {"crossed", ValueError, IndexError}
 
 
 class TestTensors:
@@ -381,3 +440,84 @@ class TestTensors:
         T = RationalTensor.from_nested([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             contract_pm(T, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def test_casimir_non_square_refused(self):
+        with pytest.raises(ValueError, match="not square"):
+            casimir([[2, 0], [0, 2], [1, 1]])
+
+    @pytest.mark.parametrize("nested, shapes", [
+        ([[1], [2, 3]], r"\(1,\), \(2,\)"),
+        ([[[1, 0], [0, 1]], [[2, 0, 7], [0, 2, 9]]], r"\(2, 2\), \(2, 3\)"),
+    ])
+    def test_ragged_refused(self, nested, shapes):
+        # Both used to be read as their first entry's shape, so contract_pm
+        # never read the 3, or the 7 and the 9.
+        with pytest.raises(ValueError, match=f"^ragged tensor: entries of shapes {shapes}$"):
+            RationalTensor.from_nested(nested)
+
+    def test_contract_matches_index_walk(self):
+        rng = random.Random("contract-reference")
+        kinds = set()
+        for _ in range(300):
+            shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 4)))
+            nested = random_nested(rng, shape)
+            T = RationalTensor.from_nested(nested)
+            assert T.shape == shape and T.data == reference_nested(nested)
+            na, nb = shape[-2:] if len(shape) >= 2 else (2, 2)
+            if rng.random() < 0.1:
+                nb += 1
+            pairing = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(na)]
+                       for _ in range(nb)]
+            norm = rng.choice([1, 3, F(2, 3)])
+            want = outcome(reference_contract, T, pairing, norm)
+            got = outcome(contract_pm, T, pairing, norm)
+            assert got == want
+            if isinstance(want, RationalTensor):
+                assert all(type(x) is F for x in flatten(got.data))
+                kinds.add("tensor")
+            elif isinstance(want, F):
+                assert type(got) is F
+                kinds.add("scalar")
+            else:
+                kinds.add(want[1])
+        assert kinds == {"scalar", "tensor", "need at least two slots to contract",
+                         "pairing dimensions do not match the contracted slots"}
+
+
+def random_nested(rng, shape):
+    if not shape:
+        return rng.choice([rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 4))])
+    return [random_nested(rng, shape[1:]) for _ in range(shape[0])]
+
+
+def reference_nested(x):
+    return tuple(reference_nested(v) for v in x) if isinstance(x, list) else F(x)
+
+
+def flatten(data):
+    return [y for x in data for y in flatten(x)] if isinstance(data, tuple) else [data]
+
+
+def reference_contract(tensor, pairing, normalization):
+    """contract_pm by a walk over every output index, reading entries by full tuples."""
+    if tensor.rank < 2:
+        raise ValueError("need at least two slots to contract")
+    na, nb = tensor.shape[-2], tensor.shape[-1]
+    eta = [[F(v) for v in row] for row in pairing]
+    if len(eta) != nb or len(eta[0]) != na:
+        raise ValueError("pairing dimensions do not match the contracted slots")
+    norm, out_shape = F(normalization), tensor.shape[:-2]
+
+    def contract_at(prefix):
+        total = F(0)
+        for a in range(na):
+            for b in range(nb):
+                total += tensor[prefix + (a, b)] * eta[b][a]
+        return norm * total
+
+    def build(dim, prefix):
+        if dim == len(out_shape):
+            return contract_at(prefix)
+        return tuple(build(dim + 1, prefix + (k,)) for k in range(out_shape[dim]))
+
+    return build(0, ()) if not out_shape else RationalTensor(out_shape, build(0, ()))

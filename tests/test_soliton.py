@@ -752,11 +752,11 @@ class TestSpectralChecks:
         assert abs(abs(v[-1][0]) - c / 6) < 1e-12
 
     @pytest.mark.parametrize("start_scale", [50, 1e200])
-    def test_witten_large_starts_fail(self, start_scale):
+    def test_witten_large_starts_fail(self, monkeypatch, start_scale):
         # 50 reaches the mesh-scale branch; 1e200 overflows to nan and inf.
+        monkeypatch.setattr(soliton, "WITTEN_START_SCALE", start_scale)
         W = parse_polynomial("x^3")
-        assert not witten_vanishing_check(W, 1.0 / 3.0, n_starts=5, start_scale=start_scale,
-                                          seed=0)
+        assert not witten_vanishing_check(W, 1.0 / 3.0, n_starts=5, seed=0)
 
     def test_witten_uses_no_fsolve_or_ndarray_gradient(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -774,3 +774,23 @@ class TestSpectralChecks:
     def test_a1_degenerate_boundary(self):
         # eps = -2 collapses the coupling; the n = 0 mode becomes bounded.
         assert not a1_bounded_spectrum_empty(-2.0)
+
+    def test_a1_matches_mode_spectra(self):
+        # The closed form against the eigenvalues of modes 0..16, on seeded
+        # eps and on both sides of the collapse at eps = -2.
+        def spectra_off_axis(eps):
+            c = 2.0 * (2.0 + eps)
+            return all(np.all(np.abs(np.linalg.eigvals([[-n, c], [c, n]]).real) >= 1e-12)
+                       for n in range(17))
+
+        rng = np.random.default_rng(5)
+        eps_values = [-2.0, -2.0 + 1e-14, -2.0 - 1e-14, -2.0 + 1e-11, -2.0 - 1e-11,
+                      *rng.uniform(-10.0, 10.0, size=50)]
+        for eps in eps_values:
+            assert a1_bounded_spectrum_empty(eps) == spectra_off_axis(eps)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 1e308])
+    def test_a1_non_finite_refused(self, eps):
+        # The eigenvalue loop refused these through numpy's LinAlgError.
+        with pytest.raises(ValueError, match="not finite"):
+            a1_bounded_spectrum_empty(eps)

@@ -1,6 +1,8 @@
 import cmath
 import os
 import pathlib
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -58,6 +60,126 @@ class TestParse:
     def test_constant_rejected(self):
         with pytest.raises(PolynomialError):
             parse_polynomial("x^3 + 5")
+
+
+def reference_parse(text):
+    """parse_polynomial with the terms split by a scan that tracks the paren depth."""
+    s = text.replace(" ", "")
+    if not s:
+        raise PolynomialError("empty polynomial")
+    terms = []
+    sign, i, depth, start = 1, 0, 0, 0
+    if s[0] in "+-":
+        sign = -1 if s[0] == "-" else 1
+        start = i = 1
+    while i <= len(s):
+        if i == len(s) or (s[i] in "+-" and depth == 0):
+            body = s[start:i]
+            if not body:
+                raise PolynomialError("empty term")
+            terms.append((sign, body))
+            if i < len(s):
+                sign = -1 if s[i] == "-" else 1
+                start = i + 1
+        elif s[i] == "(":
+            depth += 1
+        elif s[i] == ")":
+            depth -= 1
+        i += 1
+    var_indices, parsed = set(), []
+    for sgn, body in terms:
+        coeff, powers = complex(1.0), []
+        for k, f in enumerate(body.split("*")):
+            m = re.fullmatch(r"(x\d+|[xyzw])(?:\^(\d+))?", f)
+            if m:
+                name, exp = m.group(1), int(m.group(2) or 1)
+                if exp < 1:
+                    raise PolynomialError(f"exponent must be >= 1 in {f!r}")
+                if name.startswith("x") and len(name) > 1 and name[1:].isdigit():
+                    idx = int(name[1:]) - 1
+                    if idx < 0:
+                        raise PolynomialError(f"bad variable {name!r}")
+                else:
+                    idx = {"x": 0, "y": 1, "z": 2, "w": 3}[name]
+                powers.append((idx, exp))
+                var_indices.add(idx)
+            elif k == 0:
+                coeff = wpoly._parse_coefficient(f)
+            else:
+                raise PolynomialError(f"bad factor {f!r}")
+        if not powers:
+            raise PolynomialError(f"constant term {body!r} not allowed")
+        parsed.append((sgn, coeff, powers))
+    if not var_indices:
+        raise PolynomialError("no variables found")
+    n_vars = max(var_indices) + 1
+    monomials = []
+    for sgn, coeff, powers in parsed:
+        row = [0] * n_vars
+        for idx, exp in powers:
+            row[idx] += exp
+        monomials.append((row, sgn * coeff))
+    return wpoly.QHPoly.from_monomials(n_vars, monomials)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def flat_parens(text):
+    """True when every ( closes before the next ( opens, and every ) closes one."""
+    depth = 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth not in (0, 1):
+            return False
+    return depth == 0
+
+
+# Corpus, README and bench inputs, and coefficients in each accepted form.
+PARSE_SEEDS = CORPUS + [
+    "x^3+x*y^2+z^4", "x1^4 + x1*x2^2", "2*x^3 - x*y^2", "(1+2i)*x^3", "x^9+x*y^8",
+    "x^4*y+y^4*z+z^4*x", "x^3+y^3+z^3-3*x*y*z", "-x^3+(0.5-1.5i)*y^4", "+2.5*x^5+(3i)*y^5",
+    "4*x^4+5*x*y^2", "x^2*y+5*x*y^3", "5*x^6+2*y^6+2*z^6", "3*x^3*y+2*x*y^4", "x^3 + (2 - i)*w^3",
+]
+
+
+class TestParseAgainstDepthScan:
+    def test_seeded_mutations(self):
+        rng = random.Random("parse-reference")
+        alphabet = "xyzw0123456789^*+-().i "
+        accepted = refused = 0
+        for _ in range(4000):
+            chars = list(rng.choice(PARSE_SEEDS))
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(chars) + 1)
+                edit = rng.randrange(4)
+                if edit == 0:
+                    chars.insert(k, rng.choice(alphabet))
+                elif edit == 1 and k < len(chars):
+                    del chars[k]
+                elif edit == 2 and k < len(chars):
+                    chars[k] = rng.choice(alphabet)
+                else:
+                    j = rng.randrange(len(chars) + 1)
+                    chars[k:k] = chars[min(j, k):max(j, k)]
+            text = "".join(chars)
+            want = parse_outcome(reference_parse, text)
+            got = parse_outcome(parse_polynomial, text)
+            if isinstance(want, wpoly.QHPoly):
+                assert got == want, text
+                accepted += 1
+                continue
+            refused += 1
+            assert got[0] is want[0], text
+            if want[0] is PolynomialError or flat_parens(text):
+                assert got[0] is PolynomialError or got == want, text
+            if flat_parens(text):
+                assert got == want, text
+        assert accepted > 300 and refused > 2000
 
 
 class TestWeights:
