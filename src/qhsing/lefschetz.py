@@ -39,6 +39,13 @@ def _mat(rows) -> Matrix:
     return tuple(tuple(Fraction(v) for v in row) for row in rows)
 
 
+def _exact(x, name: str) -> Fraction:
+    """x as a Fraction, refusing a float: Fraction(0.1) is 3602879701896397/2^55."""
+    if isinstance(x, float):
+        raise ValueError(f"{name} {x!r} is a float, not an int, a Fraction or a string")
+    return Fraction(x)
+
+
 def pl_sign(n_gamma: int) -> int:
     """Global sign (-1)^{N(N+1)/2} folded into monodromy coefficients."""
     return -1 if (n_gamma * (n_gamma + 1) // 2) % 2 else 1
@@ -124,9 +131,10 @@ def _swapped(labels: tuple[str, ...], j: int) -> tuple[str, ...]:
     return labels[:j] + (labels[j + 1], labels[j]) + labels[j + 2:]
 
 
-def _check_index(state: ThimbleState, i: int):
-    if not (0 <= i < state.mu):
-        raise IndexError(f"index {i} out of range for mu={state.mu}")
+def _check_index(state: ThimbleState, *indices: int):
+    for i in indices:
+        if not (0 <= i < state.mu):
+            raise IndexError(f"index {i} out of range for mu={state.mu}")
 
 
 def monodromy_apply(state: ThimbleState, i: int) -> ThimbleState:
@@ -149,8 +157,7 @@ def monodromy_apply(state: ThimbleState, i: int) -> ThimbleState:
 
 def braid_move(state: ThimbleState, j: int) -> ThimbleState:
     """Replace positions (j, j+1) by (h_j(delta_{j+1}), delta_j)."""
-    _check_index(state, j)
-    _check_index(state, j + 1)
+    _check_index(state, j, j + 1)
     c = state.pl_sign * state.R[j + 1][j]
     return _change_basis(state, {j: ((j, c), (j + 1, 1)), j + 1: ((j, 1),)},
                          {j: ((j + 1, 1),), j + 1: ((j, 1), (j + 1, -c))},
@@ -159,8 +166,7 @@ def braid_move(state: ThimbleState, j: int) -> ThimbleState:
 
 def braid_move_inverse(state: ThimbleState, j: int) -> ThimbleState:
     """Algebraic inverse of braid_move at the same position."""
-    _check_index(state, j)
-    _check_index(state, j + 1)
+    _check_index(state, j, j + 1)
     # Undo delta'_j = c*delta_j + delta_{j+1}, delta'_{j+1} = delta_j.
     # Requiring braid_move to reproduce the current state pins the
     # coefficient x below from post-move intersection entries alone.
@@ -182,8 +188,7 @@ def orientation_flip(state: ThimbleState, j: int) -> ThimbleState:
 
 def gabrielov_move(state: ThimbleState, i: int, j: int) -> ThimbleState:
     """Replace only slot j by h_i(delta_j)."""
-    _check_index(state, i)
-    _check_index(state, j)
+    _check_index(state, i, j)
     if i == j:
         raise IndexError("Gabrielov move needs two distinct slots")
     c = state.pl_sign * state.R[j][i]
@@ -199,20 +204,22 @@ def wall_cross(state: ThimbleState, i: int, direction: str,
         v_{i+1}(+) = v_i(-)
     Right is the exact inverse with the same r, so Left followed by
     Right is the identity.  Both are braid-type row operations on the
-    cycle vectors alone; the labels of slots i, i+1 swap.
+    cycle vectors alone; the labels of slots i, i+1 swap.  A state with
+    no cycle vector at slot i or i + 1, or a float r, raises ValueError.
     """
-    _check_index(state, i)
-    _check_index(state, i + 1)
-    if state.cycle_coords is None:
-        raise ValueError("wall crossing needs cycle coordinates")
-    r = Fraction(r)
+    _check_index(state, i, i + 1)
+    coords = state.cycle_coords or ()
+    if len(coords) < i + 2:
+        raise ValueError(f"wall crossing at slot {i} needs cycle vectors {i} and {i + 1}, "
+                         f"but the state tracks {len(coords)}")
+    r = _exact(r, "r")
     if direction.lower() == "left":
         ops = {i: ((i + 1, 1), (i, r)), i + 1: ((i, 1),)}
     elif direction.lower() == "right":
         ops = {i: ((i + 1, 1),), i + 1: ((i, 1), (i + 1, -r))}
     else:
         raise ValueError("direction must be 'left' or 'right'")
-    return replace(state, cycle_coords=tuple(_row_ops(list(state.cycle_coords), ops)),
+    return replace(state, cycle_coords=tuple(_row_ops(list(coords), ops)),
                    labels=_swapped(state.labels, i))
 
 
@@ -264,15 +271,16 @@ def contract_pm(tensor: RationalTensor, pairing,
 
     out[...] = norm * sum_{a,b} T[..., a, b] * pairing[b][a].  The
     stabilizer-count normalization (e.g. |G|/|<gamma>|) is supplied by
-    the caller.  A rank-2 input contracts to a plain Fraction.
+    the caller.  A rank-2 input contracts to a plain Fraction.  A float
+    normalization or pairing entry raises ValueError.
     """
     if tensor.rank < 2:
         raise ValueError("need at least two slots to contract")
     na, nb = tensor.shape[-2], tensor.shape[-1]
-    eta = [[Fraction(v) for v in row] for row in pairing]
+    eta = [[_exact(v, "pairing entry") for v in row] for row in pairing]
     if len(eta) != nb or len(eta[0]) != na:
         raise ValueError("pairing dimensions do not match the contracted slots")
-    norm = Fraction(normalization)
+    norm = _exact(normalization, "normalization")
 
     def contract(x, rank: int):
         if rank > 2:

@@ -37,6 +37,7 @@ NEWTON_STARTS = 200       # default Newton start budget of each multistart
 NEWTON_MAX_ITER = 80      # Newton iterations from one start before it is given up
 WALL_STEPS = 200          # continuation grid on the path parameter [0, 1]
 WALL_REFINE_TOL = 1e-14   # bracket width at which a crossing is reported
+CONTINUATION_DEPTH = 40   # halvings of a refused continuation step before it is given up
 
 
 class MorseError(RuntimeError):
@@ -115,23 +116,18 @@ def _multistart(W: QHPoly, b: tuple[complex, ...], seed: int,
     rng = np.random.default_rng(seed)
     scale = max(np.linalg.norm(b), 1e-12)
     # Weighted scaling ||b||^q keeps starts near the root cluster.
-    radii = [0.5, 1.0, 2.0, 4.0]
+    radii = [0.5, 1.0, 2.0, 4.0]   # 16 starts on each, in turn
     q_scales = np.array([scale ** float(q) for q in W.weights])
     roots: list[list[complex]] = []
     iterations = 0
-    budget = n_starts
-    for radius in itertools.cycle(radii):
-        if len(roots) >= mu or budget <= 0:
+    for k in range(n_starts):
+        if len(roots) >= mu:
             break
-        for _ in range(16):
-            d = rng.normal(size=n) + 1j * rng.normal(size=n)
-            d /= np.linalg.norm(d)
-            u, k = _newton(W, b, (radius * q_scales * d).tolist())
-            _add_root(roots, u)
-            iterations += k
-            budget -= 1
-            if len(roots) >= mu:
-                break
+        d = rng.normal(size=n) + 1j * rng.normal(size=n)
+        d /= np.linalg.norm(d)
+        u, its = _newton(W, b, (radii[k // 16 % len(radii)] * q_scales * d).tolist())
+        _add_root(roots, u)
+        iterations += its
     return roots, iterations
 
 
@@ -175,9 +171,8 @@ def find_critical_points(W: QHPoly, b: Sequence[complex], seed: int = 0,
     for block in blocks:
         if not any(b[v] for v in block):
             names = ", ".join(f"x{v + 1}" for v in block)
-            raise MorseError("not W-regular: " + (
-                "unperturbed W has a degenerate critical point at 0" if len(blocks) == 1 else
-                f"b = 0 on the summand of W in {names}, which has a degenerate critical point at 0"))
+            raise MorseError(f"not W-regular: b = 0 on the summand of W in {names}, "
+                             "which has a degenerate critical point at 0")
 
     parts, iterations = [], 0
     for block in blocks:
@@ -267,6 +262,18 @@ def _extrapolate(history: list[list[list[complex]]]) -> list[list[complex]]:
             for past in zip(*history)]
 
 
+def _continue(step, x, s: float, s_to: float, depth: int = 0):
+    """x carried from s to s_to by step(x, s, s_new): x at s_new, or None to refuse.
+    A refused step is split in halves, at most CONTINUATION_DEPTH deep; then MorseError."""
+    x_to = step(x, s, s_to)
+    if x_to is not None:
+        return x_to
+    if depth >= CONTINUATION_DEPTH:
+        raise MorseError(f"loss of tracked root near lambda={s:.6g}")
+    mid = 0.5 * (s + s_to)
+    return _continue(step, _continue(step, x, s, mid, depth + 1), mid, s_to, depth + 1)
+
+
 @dataclass(frozen=True)
 class WallCrossing:
     lam: float
@@ -279,7 +286,8 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
 
     Tracks every critical point over the grid lam = k / WALL_STEPS, each
     step starting Newton from the quadratic extrapolation of the tracked
-    roots and halved, from the previous roots, when refused.  Watches the
+    roots; a refused step is carried from the previous roots by _continue,
+    which halves it up to CONTINUATION_DEPTH times.  Watches the
     signs of Im(alpha_i - alpha_j) for every pair and refines each sign
     change by Illinois regula falsi to a WALL_REFINE_TOL-wide bracket.
     Pairs that flip in the same step are refined one by one when they
@@ -297,16 +305,8 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
         ims = [(W.value_at(u) + sum(map(mul, b, u))).imag for u in pts]
         return {(i, j): ims[i] - ims[j] for i, j in itertools.combinations(range(len(pts)), 2)}
 
-    def advance(pts, lam_from, lam_to, depth=0, starts=None):
-        """Continue all roots from lam_from to lam_to, halving on failure."""
-        if depth > 40:
-            raise MorseError(f"loss of tracked root near lambda={lam_from:.6g}")
-        nxt = _track_roots(W, pts, b_at(lam_to), starts)
-        if nxt is not None:
-            return nxt
-        mid = 0.5 * (lam_from + lam_to)
-        half = advance(pts, lam_from, mid, depth + 1)
-        return advance(half, mid, lam_to, depth + 1)
+    def track(pts, lam_from, lam_to):
+        return _track_roots(W, pts, b_at(lam_to))
 
     crossings: list[WallCrossing] = []
     lam_prev = 0.0
@@ -314,7 +314,8 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
     history = [points]
     for k in range(1, WALL_STEPS + 1):
         lam = k / WALL_STEPS
-        points_new = advance(points, lam_prev, lam, starts=_extrapolate(history))
+        points_new = (_track_roots(W, points, b_at(lam), _extrapolate(history))
+                      or _continue(track, points, lam_prev, lam))
         gaps = im_gaps(points_new, lam)
         # A gap that lands exactly on 0 at a grid point counts here, once;
         # the sign test alone misses it on both sides.
@@ -335,7 +336,7 @@ def detect_wall_crossings(W: QHPoly, path: Callable[[float], Sequence[complex]],
                 mid = hi - g_hi * (hi - lo) / (g_hi - g_lo)
                 mid = (min(max(mid, lo + WALL_REFINE_TOL / 2), hi - WALL_REFINE_TOL / 2)
                        if lo <= mid <= hi else 0.5 * (lo + hi))
-                pts_mid = advance(pts_lo, lo, mid)
+                pts_mid = _continue(track, pts_lo, lo, mid)
                 g_mid = im_gaps(pts_mid, mid)[pair]
                 # Illinois: an end kept twice in a row has its gap halved.
                 if g_lo * g_mid <= 0:

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .wpoly import QHPoly, _norm, _solve
-from .morse import SEPARATION, MorseData, perturbed_value
+from .morse import SEPARATION, MorseData, MorseError, _continue, perturbed_value
 
 __all__ = [
     "FlowTrajectory",
@@ -49,8 +49,6 @@ WALL_TOL = 1e-6         # |Im alpha_i - Im alpha_j| bound of a wall, relative to
 IM_DRIFT_TOL = 1e-8
 RE_MONOTONE_TOL = 1e-10
 LIFT_END = 1e-6         # lift ends' offset from alpha_i, alpha_j, in segment lengths
-LIFT_STEP = 1.0 / 16    # largest continuation step in s
-LIFT_MIN_STEP = 1e-12   # step-halving floor; below it the lift is refused
 LIFT_XTOL = 1e-6        # Newton step bound, relative to the start offset
 LIFT_MATCH = 0.25       # end match radius, relative to the model offset
 WITTEN_MAX_ITER = 50    # Newton steps per start of witten_vanishing_check
@@ -264,10 +262,11 @@ def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
     W is in one variable and alpha_i, alpha_j are the values of W + b x at
     its critical points k_i, k_j.  Each lift leaves k_i on a root of the
     quadratic model and follows the root of (W + b x)(x) = alpha_i +
-    s (alpha_j - alpha_i) by an Euler predictor dx/dt = 1/W' and a Newton
-    corrector, halving the step in s when the corrector moves more than a
-    tenth of the step.  It arrives if it ends on a model root at k_j; a
-    lift that stalls or ends near k_j off the model raises ValueError.
+    s (alpha_j - alpha_i) over the grid LIFT_END 2^k, ..., 1/2, ..., 1 -
+    LIFT_END 2^k by an Euler predictor and a Newton corrector; morse._continue
+    halves a step whose corrector moves more than a tenth of the step.  It
+    arrives if it ends on a model root at k_j; a lift that stalls or ends
+    near k_j off the model raises ValueError.
     """
     a_i = W.value_at([k_i]) + b * k_i
     delta = W.value_at([k_j]) + b * k_j - a_i
@@ -284,21 +283,25 @@ def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
                 return x
         return None
 
+    def step(x, s, s_new):
+        pred = x + (s_new - s) * delta / (W.gradient_values([x])[0] + b)
+        nxt = root(pred, s_new)
+        return None if nxt is None or abs(nxt - pred) > 0.1 * abs(pred - x) else nxt
+
+    ends = [LIFT_END * 2 ** k for k in range(math.ceil(math.log2(0.5 / LIFT_END)))]
+    grid = ends + [0.5] + [1 - e for e in reversed(ends)]
     lifts = []
     for sign in (1, -1):
-        s, ds, mid = LIFT_END, LIFT_END, None
-        x = start = root(k_i + sign * d_i, s)
-        while s < 1 - LIFT_END:
-            if x is None or ds < LIFT_MIN_STEP:
-                raise ValueError(f"path lift stalls at s={s:.6g}")
-            s_next = 0.5 if s < 0.5 < s + ds else min(s + ds, 1 - LIFT_END)
-            pred = x + (s_next - s) * delta / (W.gradient_values([x])[0] + b)
-            nxt = root(pred, s_next)
-            if nxt is None or abs(nxt - pred) > 0.1 * abs(pred - x):
-                ds *= 0.5
-                continue
-            x, s, ds = nxt, s_next, min(2 * ds, LIFT_STEP)
-            mid = x if s == 0.5 else mid
+        x = start = root(k_i + sign * d_i, LIFT_END)
+        if start is None:
+            raise ValueError(f"path lift stalls at s={LIFT_END:.6g}")
+        for s, s_next in zip(grid, grid[1:]):
+            try:
+                x = _continue(step, x, s, s_next)
+            except MorseError:
+                raise ValueError(f"path lift stalls at s={s:.6g}") from None
+            if s_next == 0.5:
+                mid = x
         miss = min(abs(x - k_j - d_j), abs(x - k_j + d_j))
         if miss > LIFT_MATCH * abs(d_j) and abs(x - k_j) <= 4 * abs(d_j):
             raise ValueError("path lift ends near kappa_j off its quadratic model")
@@ -420,19 +423,16 @@ def fourier_bounded_solution(theta: float,
         s, v = -sign * SUPPORT, 0j
         for col in sorted(range(len(s_grid)), key=lambda k: sign * s_grid[k]):
             s_new = float(s_grid[col])
-            p = min(max(s_new, -SUPPORT), SUPPORT)  # v_n(s_new) = e^{lam (p - s_new)} v_n(p)
-            for p_k in np.linspace(s, p, math.ceil(abs(lam * (p - s)) / 700) + 1)[1:].tolist():
-                v = math.exp(lam * (s - p_k)) * v + sign * _integral(
-                    lambda t: math.exp(lam * (t - p_k)) * rho(t), *sorted((s, p_k)))
-                s = p_k
-            # e^x v in factors of at most e^700: only a product past the float range overflows
-            x, w = lam * (p - s_new), v
-            while x > 700.0 and w and cmath.isfinite(w):
-                x, w = x - 700.0, math.exp(700.0) * w
-            values[row, col] = math.exp(min(x, 700.0)) * w
-            if not cmath.isfinite(values[row, col]):
+            n_sub = math.ceil(abs(lam * (s_new - s)) / 700)
+            for p in np.linspace(s, s_new, n_sub + 1)[1:].tolist():
+                lo, hi = (min(max(t, -SUPPORT), SUPPORT) for t in sorted((s, p)))
+                v = math.exp(lam * (s - p)) * v + sign * _integral(
+                    lambda t: math.exp(lam * (t - p)) * rho(t), lo, hi)
+                s = p
+            if not cmath.isfinite(v):
                 raise ValueError(f"mode {n}: the bounded solution at s = {s_new:g} "
                                  "is beyond the float range")
+            values[row, col] = v
     return CylinderField(theta=theta, mode_numbers=tuple(modes),
                          s_grid=s_grid, mode_values=values)
 

@@ -307,10 +307,13 @@ def reference_wall_cross(state, i, direction, r):
     for k in (i, i + 1):
         if not (0 <= k < state.mu):
             raise IndexError(f"index {k} out of range for mu={state.mu}")
-    if state.cycle_coords is None:
-        raise ValueError("wall crossing needs cycle coordinates")
+    coords = [list(v) for v in state.cycle_coords or ()]
+    if len(coords) <= i + 1:
+        raise ValueError(f"wall crossing at slot {i} needs cycle vectors {i} and {i + 1}, "
+                         f"but the state tracks {len(coords)}")
+    if isinstance(r, float):
+        raise ValueError(f"r {r!r} is a float, not an int, a Fraction or a string")
     r = F(r)
-    coords = [list(v) for v in state.cycle_coords]
     a, b = coords[i], coords[i + 1]
     if direction.lower() == "left":
         new_i, new_ip1 = [bv + r * av for av, bv in zip(a, b)], list(a)
@@ -363,6 +366,20 @@ class TestWallCross:
         with pytest.raises(ValueError):
             wall_cross(st, 0, "left", 1)
 
+    def test_float_r_refused(self):
+        # Fraction(0.1) is 3602879701896397/2^55, not 1/10.
+        st = self.make_state([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"^r 0\.1 is a float"):
+            wall_cross(st, 0, "left", 0.1)
+        assert wall_cross(st, 0, "left", "1/10") == wall_cross(st, 0, "left", F(1, 10))
+
+    def test_missing_cycle_vector_refused(self):
+        st = ThimbleState.make([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], n_gamma=2,
+                               cycle_coords=[[1, 0, 0]])
+        with pytest.raises(ValueError, match=r"^wall crossing at slot 0 needs cycle vectors "
+                                             r"0 and 1, but the state tracks 1$"):
+            wall_cross(st, 0, "left", 1)
+
     def test_bad_direction(self):
         st = self.make_state([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
@@ -370,7 +387,7 @@ class TestWallCross:
 
     def test_matches_written_out_update(self):
         rng = random.Random("wall-cross-reference")
-        kinds = set()
+        kinds, refused = set(), {"float r": 0, "too few vectors": 0}
         for case in range(600):
             mu, n_gamma = rng.randint(2, 8), rng.randint(1, 4)
             R = random_sym(rng, mu, 0) if n_gamma % 2 else random_antisym(rng, mu)
@@ -394,7 +411,10 @@ class TestWallCross:
                 kinds.add("crossed")
             else:
                 kinds.add(want[0])
+                refused["float r"] += "is a float" in want[1]
+                refused["too few vectors"] += "needs cycle vectors" in want[1]
         assert kinds == {"crossed", ValueError, IndexError}
+        assert all(refused.values())
 
 
 class TestTensors:
@@ -440,6 +460,15 @@ class TestTensors:
         T = RationalTensor.from_nested([[1, 2], [3, 4]])
         with pytest.raises(ValueError):
             contract_pm(T, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("pairing, norm, name", [
+        ([[1, 0], [0, 1]], 0.5, "normalization"),
+        ([[1, 0], [0, 0.1]], 1, "pairing entry"),
+    ])
+    def test_float_refused(self, pairing, norm, name):
+        T = RationalTensor.from_nested([[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match=f"^{name} .* is a float"):
+            contract_pm(T, pairing, norm)
 
     def test_casimir_non_square_refused(self):
         with pytest.raises(ValueError, match="not square"):

@@ -152,6 +152,25 @@ class TestClosedForm:
             assert np.linalg.norm(perturbed_gradient(W, b, u)) < 1e-9
 
 
+class TestMultistart:
+    @pytest.mark.parametrize("n_starts", [1, 40, 200])
+    def test_makes_exactly_n_starts(self, monkeypatch, n_starts):
+        # x^3 + y^3 + z^3 - 3xyz is degenerate (critical along a line), so
+        # the search never reaches mu = 8 and spends its whole budget.
+        starts = []
+        newton = morse._newton
+
+        def counted(*args):
+            starts.append(args[2])
+            return newton(*args)
+
+        monkeypatch.setattr(morse, "_newton", counted)
+        W = parse_polynomial("x^3+y^3+z^3-3*x*y*z")
+        roots, _ = morse._multistart(W, (1.0 + 0.5j, -0.7j, 0.3), 0, n_starts)
+        assert len(roots) < milnor_number(W)
+        assert len(starts) == n_starts
+
+
 class TestStrongRegularity:
     def test_regular_case(self):
         m = find_critical_points(parse_polynomial("x^3"), [3.0])
@@ -280,6 +299,30 @@ class TestWallDetection:
         assert crossings
         assert work["steps"] <= morse.WALL_STEPS + 10 * len(crossings)
         assert work["iterations"] <= 1.5 * work["calls"]
+
+    def test_refused_steps_are_halved(self, monkeypatch):
+        # b passes 3e-4 i from 0 at lam = 1/2, where the two roots of x^3
+        # nearly collide, so the grid steps there are refused.  The Im values
+        # +-2 Im w^{3/2}, w = -b/3, coincide where arg w = -2 pi / 3.
+        steps = []
+        track = morse._track_roots
+
+        def counted(*args):
+            steps.append(track(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(morse, "_track_roots", counted)
+        crossings = detect_wall_crossings(parse_polynomial("x^3"),
+                                          lambda lam: [3 * (lam - 0.5) + 3e-4j])
+        assert any(nxt is None for nxt in steps)
+        assert len(crossings) == 1
+        assert abs(crossings[0].lam - (0.5 + 1e-4 / 3 ** 0.5)) < 1e-12
+
+    def test_step_refused_past_the_depth_raises(self, monkeypatch):
+        monkeypatch.setattr(morse, "CONTINUATION_DEPTH", 0)
+        with pytest.raises(MorseError, match="loss of tracked root"):
+            detect_wall_crossings(parse_polynomial("x^3"),
+                                  lambda lam: [3 * (lam - 0.5) + 3e-4j])
 
     def test_walls_sharing_a_point_refused(self):
         # Both cubic summands are on a wall at lam = 1/3: all four critical

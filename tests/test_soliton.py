@@ -9,7 +9,7 @@ import pytest
 import scipy.optimize
 from scipy.integrate import solve_ivp
 
-from qhsing import soliton, wpoly
+from qhsing import morse, soliton, wpoly
 from qhsing.morse import (detect_wall_crossings, find_critical_points,
                           is_strongly_regular, perturbed_gradient,
                           perturbed_value)
@@ -527,7 +527,7 @@ class TestPathLift:
         assert count_bps_solitons(W, m, i, 1 - i) == 1
 
     def test_uncertified_lift_is_refused(self, monkeypatch):
-        monkeypatch.setattr(soliton, "LIFT_MIN_STEP", 1.0)
+        monkeypatch.setattr(morse, "CONTINUATION_DEPTH", 0)
         W, m, i, j = cubic_wall_data()
         with pytest.raises(ValueError, match="path lift"):
             count_bps_solitons(W, m, i, j)
