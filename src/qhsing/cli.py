@@ -167,11 +167,7 @@ def _morse_data(args):
     W = wpoly.parse_polynomial(args.polynomial)
     if not args.b:
         raise DomainError("need --b <comma list of complex>")
-    b = _parse_b(args.b)
-    try:
-        return W, morse.find_critical_points(W, b, seed=args.seed)
-    except morse.MorseError as exc:
-        raise DomainError(str(exc)) from exc
+    return W, morse.find_critical_points(W, _parse_b(args.b), seed=args.seed)
 
 
 def cmd_perturb(args, out):
@@ -184,11 +180,7 @@ def cmd_walls(args, out):
     W = wpoly.parse_polynomial(args.polynomial)
     if not args.path:
         raise DomainError("need --path <expr in lam>")
-    path = _parse_path(args.path)
-    try:
-        crossings = morse.detect_wall_crossings(W, path, seed=args.seed)
-    except morse.MorseError as exc:
-        raise DomainError(str(exc)) from exc
+    crossings = morse.detect_wall_crossings(W, _parse_path(args.path), seed=args.seed)
     out.append(f"n_crossings {len(crossings)}")
     for c in crossings:
         out.append(f"crossing lambda {_fmt(c.lam)} pair {c.pair[0]} {c.pair[1]}")
@@ -202,10 +194,7 @@ def cmd_solitons(args, out):
     i, j = args.pair
     if not (1 <= i <= m.mu and 1 <= j <= m.mu):
         raise DomainError(f"--pair {i} {j}: indices must lie in 1..{m.mu}")
-    try:
-        count = soliton.count_bps_solitons(W, m, m.ordering[i - 1], m.ordering[j - 1])
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    count = soliton.count_bps_solitons(W, m, m.ordering[i - 1], m.ordering[j - 1])
     out.append(f"count {count}")
     return 0
 
@@ -343,7 +332,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise DomainError(f"--seed {args.seed}: must be a non-negative integer")
         status = COMMANDS[args.command](args, out)
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, morse.MorseError) as exc:
         out.append(f"error {exc}")
         status = 2
     except Exception as exc:  # noqa: BLE001 - internal failure path

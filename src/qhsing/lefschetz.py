@@ -7,7 +7,8 @@ Orientation, braid and Gabrielov moves are unimodular changes of
 basis, applied as elementary row and column operations on R.  A
 monodromy h_i is a rank-1 change of determinant 1 + pl_sign * R[i][i]
 and is refused unless that is +-1.  A wall crossing is a braid move's
-row operation on the cycle vectors alone.  Everything is exact (int / Fraction).
+row operation on the cycle vectors alone.  Everything is exact (int / Fraction);
+a float entry raises ValueError.
 """
 
 from __future__ import annotations
@@ -35,15 +36,15 @@ __all__ = [
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(v) for v in row) for row in rows)
-
-
-def _exact(x, name: str) -> Fraction:
+def _exact(x, name: str = "entry") -> Fraction:
     """x as a Fraction, refusing a float: Fraction(0.1) is 3602879701896397/2^55."""
     if isinstance(x, float):
         raise ValueError(f"{name} {x!r} is a float, not an int, a Fraction or a string")
     return Fraction(x)
+
+
+def _mat(rows) -> Matrix:
+    return tuple(tuple(map(_exact, row)) for row in rows)
 
 
 def pl_sign(n_gamma: int) -> int:
@@ -88,12 +89,10 @@ class ThimbleState:
                             cycle_coords=None if cycle_coords is None else _mat(cycle_coords))
 
     def pairing(self, v, w) -> Fraction:
-        """Intersection value of two coordinate vectors in this basis."""
-        total = Fraction(0)
-        for i in range(self.mu):
-            for j in range(self.mu):
-                total += Fraction(v[i]) * self.R[i][j] * Fraction(w[j])
-        return total
+        """Intersection value of two coordinate vectors in this basis; floats are refused."""
+        v, w = _mat([v, w])
+        return sum((v[i] * self.R[i][j] * w[j] for i in range(self.mu) for j in range(self.mu)),
+                   Fraction(0))
 
 
 def _row_ops(A, ops) -> list:
@@ -277,7 +276,7 @@ def contract_pm(tensor: RationalTensor, pairing,
     if tensor.rank < 2:
         raise ValueError("need at least two slots to contract")
     na, nb = tensor.shape[-2], tensor.shape[-1]
-    eta = [[_exact(v, "pairing entry") for v in row] for row in pairing]
+    eta = _mat(pairing)
     if len(eta) != nb or len(eta[0]) != na:
         raise ValueError("pairing dimensions do not match the contracted slots")
     norm = _exact(normalization, "normalization")

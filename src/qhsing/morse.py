@@ -269,7 +269,7 @@ def _continue(step, x, s: float, s_to: float, depth: int = 0):
     if x_to is not None:
         return x_to
     if depth >= CONTINUATION_DEPTH:
-        raise MorseError(f"loss of tracked root near lambda={s:.6g}")
+        raise MorseError(f"loss of tracked root near s={s:.6g}")
     mid = 0.5 * (s + s_to)
     return _continue(step, _continue(step, x, s, mid, depth + 1), mid, s_to, depth + 1)
 

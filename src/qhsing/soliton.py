@@ -262,11 +262,11 @@ def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
     W is in one variable and alpha_i, alpha_j are the values of W + b x at
     its critical points k_i, k_j.  Each lift leaves k_i on a root of the
     quadratic model and follows the root of (W + b x)(x) = alpha_i +
-    s (alpha_j - alpha_i) over the grid LIFT_END 2^k, ..., 1/2, ..., 1 -
-    LIFT_END 2^k by an Euler predictor and a Newton corrector; morse._continue
-    halves a step whose corrector moves more than a tenth of the step.  It
-    arrives if it ends on a model root at k_j; a lift that stalls or ends
-    near k_j off the model raises ValueError.
+    s (alpha_j - alpha_i) over the grid LIFT_END 2^k, ..., k/16, ..., 1 -
+    LIFT_END 2^k (no step longer than 1/16) by an Euler predictor and a
+    Newton corrector; morse._continue halves a step whose corrector moves
+    more than a tenth of the step.  It arrives if it ends on a model root at
+    k_j; a lift that stalls or ends near k_j off the model raises ValueError.
     """
     a_i = W.value_at([k_i]) + b * k_i
     delta = W.value_at([k_j]) + b * k_j - a_i
@@ -288,18 +288,18 @@ def _lifts(W: QHPoly, b: complex, k_i: complex, k_j: complex
         nxt = root(pred, s_new)
         return None if nxt is None or abs(nxt - pred) > 0.1 * abs(pred - x) else nxt
 
-    ends = [LIFT_END * 2 ** k for k in range(math.ceil(math.log2(0.5 / LIFT_END)))]
-    grid = ends + [0.5] + [1 - e for e in reversed(ends)]
+    ends = [LIFT_END * 2 ** k for k in range(math.ceil(math.log2(1 / 16 / LIFT_END)))]
+    grid = ends + [k / 16 for k in range(1, 16)] + [1 - e for e in reversed(ends)]
     lifts = []
     for sign in (1, -1):
         x = start = root(k_i + sign * d_i, LIFT_END)
         if start is None:
-            raise ValueError(f"path lift stalls at s={LIFT_END:.6g}")
+            raise ValueError(f"path lift stalls: no root near s={LIFT_END:.6g}")
         for s, s_next in zip(grid, grid[1:]):
             try:
                 x = _continue(step, x, s, s_next)
-            except MorseError:
-                raise ValueError(f"path lift stalls at s={s:.6g}") from None
+            except MorseError as exc:
+                raise ValueError(f"path lift stalls: {exc}") from exc
             if s_next == 0.5:
                 mid = x
         miss = min(abs(x - k_j - d_j), abs(x - k_j + d_j))

@@ -70,6 +70,17 @@ class TestConstruction:
         assert st.pairing([1, 0], [0, 1]) == 1
         assert st.pairing([1, 1], [1, 1]) == 6
 
+    def test_float_entries_refused(self):
+        # Fraction(0.1) is 3602879701896397/2^55, not 1/10.
+        with pytest.raises(ValueError, match=r"^entry 0\.1 is a float"):
+            ThimbleState.make([[2, 0.1], [0.1, 2]], n_gamma=1)
+        with pytest.raises(ValueError, match=r"^entry 0\.5 is a float"):
+            ThimbleState.make([[2, 1], [1, 2]], n_gamma=1, cycle_coords=[[0.5, 0], [0, 1]])
+        st = ThimbleState.make([[2, "1/10"], ["1/10", 2]], n_gamma=1)
+        assert st.R[0][1] == F(1, 10)
+        with pytest.raises(ValueError, match="is a float"):
+            st.pairing([0.5, 0], [0, 1])
+
 
 class TestMonodromy:
     def test_a2_reflection(self):
@@ -463,7 +474,7 @@ class TestTensors:
 
     @pytest.mark.parametrize("pairing, norm, name", [
         ([[1, 0], [0, 1]], 0.5, "normalization"),
-        ([[1, 0], [0, 0.1]], 1, "pairing entry"),
+        ([[1, 0], [0, 0.1]], 1, "entry"),
     ])
     def test_float_refused(self, pairing, norm, name):
         T = RationalTensor.from_nested([[1, 2], [3, 4]])

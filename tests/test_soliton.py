@@ -529,8 +529,27 @@ class TestPathLift:
     def test_uncertified_lift_is_refused(self, monkeypatch):
         monkeypatch.setattr(morse, "CONTINUATION_DEPTH", 0)
         W, m, i, j = cubic_wall_data()
-        with pytest.raises(ValueError, match="path lift"):
+        with pytest.raises(ValueError, match="path lift stalls: loss of tracked root near s="):
             count_bps_solitons(W, m, i, j)
+
+    def test_lift_stays_on_its_branch(self):
+        # The critical values of x^12 - 12x lie on a circle, so the chord
+        # from alpha_k to alpha_{k+2} passes closest to alpha_{k+1}, where
+        # two preimages nearly meet, at s = 1/2.  Each lift's point there
+        # must be the one that 1,000 small Newton steps from its start reach.
+        n, b = 12, -12.0
+        W = parse_polynomial(f"x^{n}")
+        m = find_critical_points(W, [b])
+        pts = sorted((p[0] for p in m.critical_points), key=cmath.phase)
+        for k_i, k_j in zip(pts, pts[2:] + pts[:2]):
+            a_i = k_i ** n + b * k_i
+            delta = k_j ** n + b * k_j - a_i
+            for start, mid, _ in soliton._lifts(W, b, k_i, k_j):
+                x = start
+                for s in np.linspace(soliton.LIFT_END, 0.5, 1001)[1:]:
+                    for _ in range(8):
+                        x -= (x ** n + b * x - a_i - s * delta) / (n * x ** (n - 1) + b)
+                assert abs(mid - x) < 1e-12
 
 
 def moved_coordinates(m, p, q):
