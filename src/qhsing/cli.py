@@ -37,8 +37,6 @@ class DomainError(Exception):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.12g}{x.imag:+.12g}i"
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
@@ -206,10 +204,10 @@ def cmd_wallcross(args, out):
     i, j = args.pair or (1, 2)
     if not (1 <= i < mu and j == i + 1):
         raise DomainError(f"--pair {i} {j}: need adjacent slots i, i+1 in 1..{mu}")
-    coords = [[Fraction(1 if i == k else 0) for i in range(mu)] for k in range(mu)]
+    coords = [[int(i == k) for i in range(mu)] for k in range(mu)]
     state = lefschetz.ThimbleState.make(
         [[0] * mu for _ in range(mu)], n_gamma=2, cycle_coords=coords)
-    new = lefschetz.wall_cross(state, i - 1, args.direction, Fraction(args.r))
+    new = lefschetz.wall_cross(state, i - 1, args.direction, args.r)
     for v in new.cycle_coords:
         out.append("cycle " + " ".join(_fmt(x) for x in v))
     return 0

@@ -1,11 +1,12 @@
-"""Exact linear algebra over Fraction: solve, inverse, determinant and rank.
+"""Exact numbers, and exact linear algebra over Fraction: solve, inverse, det, rank.
 
-All four rest on one Gauss-Jordan elimination, so every exact matrix
-computation in the package shares a single pivoting rule.
+fraction() is the one rule for what counts as exact; the four convert through it
+and rest on one Gauss-Jordan elimination, so they share a single pivoting rule.
 """
 
 from __future__ import annotations
 
+import numbers
 from fractions import Fraction
 
 
@@ -15,6 +16,14 @@ class RankError(ValueError):
 
 class InconsistentError(ValueError):
     """An overdetermined system has no solution."""
+
+
+def fraction(x, name: str = "entry") -> Fraction:
+    """A numbers.Rational x (int, Fraction, numpy integer) as a Fraction, else ValueError."""
+    if type(x) not in (int, Fraction) and not isinstance(x, numbers.Rational):  # slow check last
+        raise ValueError(f"{name} {x!r} is not an int or a Fraction")  # Fraction(0.1) != 1/10
+    return (x if type(x) is Fraction else Fraction(x) if type(x) is int
+            else Fraction(int(x.numerator), int(x.denominator)))
 
 
 def _gauss_jordan(rows: list[list[Fraction]], n: int) -> tuple[int, Fraction]:
@@ -45,7 +54,7 @@ def _gauss_jordan(rows: list[list[Fraction]], n: int) -> tuple[int, Fraction]:
 def solve(A, b) -> tuple[Fraction, ...]:
     """The unique x with A x = b for a square or overdetermined A."""
     n = len(A[0])
-    rows = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(A, b)]
+    rows = [[*map(fraction, row), fraction(r)] for row, r in zip(A, b)]
     rank, _ = _gauss_jordan(rows, n)
     if rank < n:
         raise RankError("rank-deficient system")
@@ -56,7 +65,7 @@ def solve(A, b) -> tuple[Fraction, ...]:
 
 def _square(A) -> list[list[Fraction]]:
     """The rows of A as Fractions; ValueError unless A is square."""
-    rows = [[Fraction(v) for v in row] for row in A]
+    rows = [list(map(fraction, row)) for row in A]
     if any(len(row) != len(rows) for row in rows):
         raise ValueError(f"matrix is not square: row lengths {[len(row) for row in rows]}")
     return rows
@@ -80,4 +89,4 @@ def det(A) -> Fraction:
 
 def rank(A) -> int:
     """Rank of a matrix with at least one row."""
-    return _gauss_jordan([[Fraction(v) for v in row] for row in A], len(A[0]))[0]
+    return _gauss_jordan([list(map(fraction, row)) for row in A], len(A[0]))[0]

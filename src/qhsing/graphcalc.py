@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .wpoly import QHPoly
+from .wpoly import QHPoly, parse_polynomial
 from .symmetry import (GroupElement, central_charge, enumerate_group,
                        exponential_grading, is_member, sector_data)
 
@@ -205,6 +205,8 @@ def cut_edge(graph: DecoratedGraph, edge_index: int) -> DecoratedGraph:
 
 def glue_tails(graph: DecoratedGraph, i: int, j: int) -> DecoratedGraph:
     """Inverse of cut_edge: join two tails with inverse decorations."""
+    if not (0 <= i < len(graph.tails) and 0 <= j < len(graph.tails)):
+        raise GraphError("tail index out of range")
     if i == j:
         raise GraphError("cannot glue a tail to itself")
     ti, tj = graph.tails[i], graph.tails[j]
@@ -252,10 +254,9 @@ _RECORDS = {
 }
 
 
-def graph_from_text(text: str, W: QHPoly | None = None) -> DecoratedGraph:
+def graph_from_text(text: str) -> DecoratedGraph:
     """Parse the interchange format produced by graph_to_text."""
-    from .wpoly import parse_polynomial
-
+    W = None
     records: list[tuple[str, list[int | None], str]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

@@ -7,8 +7,7 @@ Orientation, braid and Gabrielov moves are unimodular changes of
 basis, applied as elementary row and column operations on R.  A
 monodromy h_i is a rank-1 change of determinant 1 + pl_sign * R[i][i]
 and is refused unless that is +-1.  A wall crossing is a braid move's
-row operation on the cycle vectors alone.  Everything is exact (int / Fraction);
-a float entry raises ValueError.
+row operation on the cycle vectors alone.  Entries pass through exact.fraction.
 """
 
 from __future__ import annotations
@@ -36,15 +35,8 @@ __all__ = [
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
-def _exact(x, name: str = "entry") -> Fraction:
-    """x as a Fraction, refusing a float: Fraction(0.1) is 3602879701896397/2^55."""
-    if isinstance(x, float):
-        raise ValueError(f"{name} {x!r} is a float, not an int, a Fraction or a string")
-    return Fraction(x)
-
-
 def _mat(rows) -> Matrix:
-    return tuple(tuple(map(_exact, row)) for row in rows)
+    return tuple(tuple(map(exact.fraction, row)) for row in rows)
 
 
 def pl_sign(n_gamma: int) -> int:
@@ -89,8 +81,10 @@ class ThimbleState:
                             cycle_coords=None if cycle_coords is None else _mat(cycle_coords))
 
     def pairing(self, v, w) -> Fraction:
-        """Intersection value of two coordinate vectors in this basis; floats are refused."""
+        """Intersection value of two coordinate vectors of length mu in this basis."""
         v, w = _mat([v, w])
+        if len(v) != self.mu or len(w) != self.mu:
+            raise ValueError(f"vectors of lengths {len(v)} and {len(w)}, not mu={self.mu}")
         return sum((v[i] * self.R[i][j] * w[j] for i in range(self.mu) for j in range(self.mu)),
                    Fraction(0))
 
@@ -172,7 +166,7 @@ def braid_move_inverse(state: ThimbleState, j: int) -> ThimbleState:
     denom = 1 + state.pl_sign * state.R[j + 1][j + 1]
     if denom == 0:
         raise ValueError("braid inverse undefined for this self-intersection")
-    x = Fraction(state.pl_sign * state.R[j][j + 1], 1) / denom
+    x = exact.fraction(state.pl_sign * state.R[j][j + 1]) / denom
     return _change_basis(state, {j: ((j + 1, 1),), j + 1: ((j, 1), (j + 1, -x))},
                          {j: ((j, x), (j + 1, 1)), j + 1: ((j, 1),)},
                          _swapped(state.labels, j))
@@ -204,14 +198,14 @@ def wall_cross(state: ThimbleState, i: int, direction: str,
     Right is the exact inverse with the same r, so Left followed by
     Right is the identity.  Both are braid-type row operations on the
     cycle vectors alone; the labels of slots i, i+1 swap.  A state with
-    no cycle vector at slot i or i + 1, or a float r, raises ValueError.
+    no cycle vector at slot i or i + 1, or an inexact r, raises ValueError.
     """
     _check_index(state, i, i + 1)
     coords = state.cycle_coords or ()
     if len(coords) < i + 2:
         raise ValueError(f"wall crossing at slot {i} needs cycle vectors {i} and {i + 1}, "
                          f"but the state tracks {len(coords)}")
-    r = _exact(r, "r")
+    r = exact.fraction(r, "r")
     if direction.lower() == "left":
         ops = {i: ((i + 1, 1), (i, r)), i + 1: ((i, 1),)}
     elif direction.lower() == "right":
@@ -234,7 +228,7 @@ class RationalTensor:
         """Tensor of the nested lists or tuples; ValueError if they are ragged."""
         def conv(x) -> tuple:
             if not isinstance(x, (list, tuple)):
-                return (), Fraction(x)
+                return (), exact.fraction(x)
             parts = [conv(v) for v in x]
             shapes = {shape for shape, _ in parts}
             if len(shapes) > 1:
@@ -270,8 +264,8 @@ def contract_pm(tensor: RationalTensor, pairing,
 
     out[...] = norm * sum_{a,b} T[..., a, b] * pairing[b][a].  The
     stabilizer-count normalization (e.g. |G|/|<gamma>|) is supplied by
-    the caller.  A rank-2 input contracts to a plain Fraction.  A float
-    normalization or pairing entry raises ValueError.
+    the caller.  A rank-2 input contracts to a plain Fraction.  An
+    inexact normalization or pairing entry raises ValueError.
     """
     if tensor.rank < 2:
         raise ValueError("need at least two slots to contract")
@@ -279,7 +273,7 @@ def contract_pm(tensor: RationalTensor, pairing,
     eta = _mat(pairing)
     if len(eta) != nb or len(eta[0]) != na:
         raise ValueError("pairing dimensions do not match the contracted slots")
-    norm = _exact(normalization, "normalization")
+    norm = exact.fraction(normalization, "normalization")
 
     def contract(x, rank: int):
         if rank > 2:

@@ -319,8 +319,13 @@ def count_bps_solitons(W: QHPoly, m: MorseData, i: int, j: int) -> int:
     decouples (Thom-Sebastiani): a pair that moves in one one-variable
     summand has that summand's lift count.  Every other pair (two moving
     summands, or a moving summand in several variables) has no certified
-    count and raises ValueError.
+    count and raises ValueError, as do an index outside 0..mu-1 and a W
+    that is not m.W.
     """
+    if not (0 <= i < m.mu and 0 <= j < m.mu):
+        raise ValueError(f"pair ({i}, {j}) outside 0..{m.mu - 1}")
+    if W != m.W:
+        raise ValueError("W is not the polynomial of the Morse data")
     if i == j:
         return 0
     a_i, a_j = m.critical_values[i], m.critical_values[j]

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import det, inverse, rank
+from .exact import det, fraction, inverse, rank
 from .wpoly import QHPoly, WeightError
 
 __all__ = [
@@ -38,25 +38,24 @@ __all__ = [
 class GroupElement:
     """Phases Theta_i = k_i / d with d the order, so (k, d) is canonical.
 
-    Built from int or Fraction phases in [0, 1); `theta` is the Fraction view.
+    Built from exact phases (exact.fraction) in [0, 1); `theta` is the Fraction view.
     """
 
     k: tuple[int, ...]
     d: int
 
     def __init__(self, theta):
-        theta = tuple(theta)
-        for t in theta:
-            if not (isinstance(t, (int, Fraction)) and 0 <= t.numerator < t.denominator):
-                raise ValueError(f"phase {t!r} is not an int or a Fraction in [0, 1)")
+        theta = tuple(fraction(t, "phase") for t in theta)
+        if out := [t for t in theta if not 0 <= t.numerator < t.denominator]:
+            raise ValueError(f"phase {out[0]} is not in [0, 1)")
         d = math.lcm(*(t.denominator for t in theta))
         object.__setattr__(self, "k", tuple(t.numerator * (d // t.denominator) for t in theta))
         object.__setattr__(self, "d", d)
 
     @staticmethod
     def from_phases(phases) -> "GroupElement":
-        """The element with int or Fraction phases reduced mod 1; others are refused."""
-        return GroupElement(p % 1 if isinstance(p, (int, Fraction)) else p for p in phases)
+        """The element with the phases reduced mod 1."""
+        return GroupElement(fraction(p, "phase") % 1 for p in phases)
 
     @property
     def theta(self) -> tuple[Fraction, ...]:

@@ -199,7 +199,7 @@ class QHPoly:
                       weights=weights)
 
     def text(self) -> str:
-        """Render back to the input grammar (variables x1..xN)."""
+        """Render back to the input grammar (variables x1..xN); it parses back to W."""
         parts = []
         for row, c in zip(self.exponents, self.coeffs):
             factors = []
@@ -211,11 +211,21 @@ class QHPoly:
             if c == 1:
                 head = ""
             elif c.imag == 0:
-                head = f"{c.real:g}*"
+                head = f"{_digits(c.real)}*"
             else:
-                head = f"({c.real:g}{c.imag:+g}i)*"
+                head = f"({_digits(c.real)}{_digits(c.imag, '+')}i)*"
             parts.append(head + "*".join(factors))
-        return " + ".join(parts)
+        # A negative real head follows " - ": "+ -2*x" would be an empty term.
+        return " + ".join(parts).replace(" + -", " - ")
+
+
+def _digits(x: float, sign: str = "") -> str:
+    """x in the coefficient grammar: its :g text where that reads back as x,
+    else the shortest digits that do, with no exponent."""
+    s = f"{x:{sign}g}"
+    if "e" in s or float(s) != x:
+        s = np.format_float_positional(x, sign=bool(sign), trim="-")
+    return s
 
 
 def _term_sums(table, u) -> list[complex]:

@@ -387,3 +387,13 @@ class TestReadme:
         assert self.states("prints `count 1`") and self.states("`--pair 1 4` moves in both summands")
         status, out = self.run_quoted(capsys, quoted.removesuffix(" --pair 1 3"), "--pair", "1", "4")
         assert status == 2 and out.startswith("error ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("walls", "x^3"), "need --path <expr in lam>"),
+    (("solitons", "x^3", "--b=-3"), "need --pair <i> <j>"),
+    (("walls", "x^3", "--path", "lam" + "+1" * 3000),
+     "--path: 'lam+1+1+1+1+1+1+1+1+'... is nested too deeply"),
+], ids=["walls-no-path", "solitons-no-pair", "path-too-deep"])
+def test_refusals(capsys, argv, message):
+    assert run(capsys, *argv) == (2, f"error {message}\n")

@@ -1,11 +1,14 @@
 import itertools
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qhsing import exact
+from qhsing.lefschetz import RationalTensor, ThimbleState, casimir, contract_pm, wall_cross
 from qhsing.symmetry import GroupElement, enumerate_group
 from qhsing.wpoly import WeightError, compute_weights, parse_polynomial
 
@@ -110,3 +113,61 @@ class TestGroupPower:
             for k in range(2 * order + 1):
                 assert g ** k == up and g ** -k == down
                 up, down = up * g, down * g.inverse()
+
+
+STATE = ThimbleState.make([[0, 1], [-1, 0]], n_gamma=2, cycle_coords=[[1, 0], [0, 1]])
+IDENTITY = RationalTensor.from_nested([[1, 0], [0, 1]])
+
+# Every edge where a caller hands the package an exact number, each taking
+# the number as x; at x = 2 each call succeeds.
+EDGES = {
+    "solve": lambda x: exact.solve([[x, 1], [1, 1]], [1, 1]),
+    "inverse": lambda x: exact.inverse([[x, 1], [1, 1]]),
+    "det": lambda x: exact.det([[x, 1], [1, 1]]),
+    "rank": lambda x: exact.rank([[x, 1], [1, 1]]),
+    "casimir": lambda x: casimir([[x, 1], [1, 1]]).data,
+    "from_nested": lambda x: RationalTensor.from_nested([[x, 1]]).data,
+    "ThimbleState.make": lambda x: ThimbleState.make([[x, 1], [1, x]], n_gamma=1).R,
+    "pairing": lambda x: STATE.pairing([x, 0], [0, 1]),
+    "wall_cross": lambda x: wall_cross(STATE, 0, "left", x).cycle_coords,
+    "contract_pm normalization": lambda x: contract_pm(IDENTITY, [[1, 0], [0, 1]], x),
+    "contract_pm pairing": lambda x: contract_pm(IDENTITY, [[x, 0], [0, 1]]),
+    "GroupElement.from_phases": lambda x: GroupElement.from_phases([x, 0]),
+}
+INEXACT = pytest.mark.parametrize("x", [0.1, "1/10", Decimal("0.1"), 1j],
+                                  ids=["float", "str", "Decimal", "complex"])
+
+
+class TestOneRule:
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    @INEXACT
+    def test_inexact_number_refused(self, edge, x):
+        # Fraction(0.1) is 3602879701896397/2^55; Fraction("1/10") is text, not a number.
+        with pytest.raises(ValueError, match=re.escape(f"{x!r} is not an int or a Fraction")):
+            EDGES[edge](x)
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    @pytest.mark.parametrize("x", [np.int64(2), Fraction(2)], ids=["int64", "Fraction"])
+    def test_rational_number_accepted(self, edge, x):
+        assert EDGES[edge](x) == EDGES[edge](2)
+
+    @INEXACT
+    def test_group_element_refuses_inexact_phase(self, x):
+        message = re.escape(f"phase {x!r} is not an int or a Fraction")
+        with pytest.raises(ValueError, match=message):
+            GroupElement((Fraction(1, 2), x))
+
+    def test_group_element_accepts_numpy_integer(self):
+        assert GroupElement((np.int64(0), Fraction(1, 2))) == GroupElement((0, Fraction(1, 2)))
+
+    def test_fraction_is_returned_unchanged(self):
+        x = Fraction(1, 3)
+        assert exact.fraction(x) is x
+
+    def test_numpy_integer_becomes_python_integers(self):
+        x = exact.fraction(np.int64(-3))
+        assert x == -3 and type(x.numerator) is int and type(x.denominator) is int
+
+    def test_value_is_named(self):
+        with pytest.raises(ValueError, match=r"^r 0\.25 is not an int or a Fraction$"):
+            exact.fraction(0.25, "r")

@@ -346,3 +346,33 @@ tail 0 gamma 2
     def test_vertices_in_any_order(self):
         graph = graph_from_text("poly x^3\nvertex 1 genus 2\nvertex 0 genus 1\nedge 0 1\n")
         assert graph.genera == (1, 2)
+
+
+def six_tails():
+    """x^3 at genus 0 with tails g, g, g, g^-1, g^-1, g^-1 for g = 1/3."""
+    return DecoratedGraph(W=parse_polynomial("x^3"), genera=(0,), edges=(),
+                          tails=tuple(Tail(0, g3(k)) for k in (1, 1, 1, 2, 2, 2)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DecoratedGraph(W=parse_polynomial("x^3"), genera=(-1,), edges=(), tails=()),
+     "negative vertex genus"),
+    (lambda: DecoratedGraph(W=parse_polynomial("x^3"), genera=(1,),
+                            edges=(Edge(0, 0, GroupElement((F(1, 2),))),), tails=()),
+     "edge decoration is not a symmetry of W"),
+    (lambda: DecoratedGraph(W=parse_polynomial("x^3"), genera=(1,), edges=(),
+                            tails=(Tail(1, g3(1)),)),
+     "tail vertex out of range"),
+    (lambda: cut_edge(six_tails(), 0), "edge index out of range"),
+    (lambda: cut_edge(six_tails(), -1), "edge index out of range"),
+    (lambda: forget_tail(six_tails(), 6), "tail index out of range"),
+    (lambda: forget_tail(six_tails(), -1), "tail index out of range"),
+    # -1 used to glue the last tail and keep it, 9 to raise a bare IndexError.
+    (lambda: glue_tails(six_tails(), -1, 0), "tail index out of range"),
+    (lambda: glue_tails(six_tails(), 0, 9), "tail index out of range"),
+    (lambda: graph_from_text("vertex 0 genus 1\n"), "no polynomial given"),
+], ids=["negative-genus", "edge-decoration", "tail-vertex", "cut-edge", "cut-edge-negative",
+        "forget-tail", "forget-tail-negative", "glue-negative", "glue-past-end", "no-poly-line"])
+def test_refusals(call, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        call()

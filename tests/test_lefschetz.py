@@ -72,13 +72,15 @@ class TestConstruction:
 
     def test_float_entries_refused(self):
         # Fraction(0.1) is 3602879701896397/2^55, not 1/10.
-        with pytest.raises(ValueError, match=r"^entry 0\.1 is a float"):
+        with pytest.raises(ValueError, match=r"^entry 0\.1 is not an int or a Fraction$"):
             ThimbleState.make([[2, 0.1], [0.1, 2]], n_gamma=1)
-        with pytest.raises(ValueError, match=r"^entry 0\.5 is a float"):
+        with pytest.raises(ValueError, match=r"^entry 0\.5 is not an int or a Fraction$"):
             ThimbleState.make([[2, 1], [1, 2]], n_gamma=1, cycle_coords=[[0.5, 0], [0, 1]])
-        st = ThimbleState.make([[2, "1/10"], ["1/10", 2]], n_gamma=1)
+        with pytest.raises(ValueError, match=r"^entry '1/10' is not an int or a Fraction$"):
+            ThimbleState.make([[2, "1/10"], ["1/10", 2]], n_gamma=1)
+        st = ThimbleState.make([[2, F(1, 10)], [F(1, 10), 2]], n_gamma=1)
         assert st.R[0][1] == F(1, 10)
-        with pytest.raises(ValueError, match="is a float"):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
             st.pairing([0.5, 0], [0, 1])
 
 
@@ -322,8 +324,8 @@ def reference_wall_cross(state, i, direction, r):
     if len(coords) <= i + 1:
         raise ValueError(f"wall crossing at slot {i} needs cycle vectors {i} and {i + 1}, "
                          f"but the state tracks {len(coords)}")
-    if isinstance(r, float):
-        raise ValueError(f"r {r!r} is a float, not an int, a Fraction or a string")
+    if not isinstance(r, (int, F)):
+        raise ValueError(f"r {r!r} is not an int or a Fraction")
     r = F(r)
     a, b = coords[i], coords[i + 1]
     if direction.lower() == "left":
@@ -380,9 +382,10 @@ class TestWallCross:
     def test_float_r_refused(self):
         # Fraction(0.1) is 3602879701896397/2^55, not 1/10.
         st = self.make_state([[1, 0], [0, 1]])
-        with pytest.raises(ValueError, match=r"^r 0\.1 is a float"):
+        with pytest.raises(ValueError, match=r"^r 0\.1 is not an int or a Fraction$"):
             wall_cross(st, 0, "left", 0.1)
-        assert wall_cross(st, 0, "left", "1/10") == wall_cross(st, 0, "left", F(1, 10))
+        with pytest.raises(ValueError, match=r"^r '1/10' is not an int or a Fraction$"):
+            wall_cross(st, 0, "left", "1/10")
 
     def test_missing_cycle_vector_refused(self):
         st = ThimbleState.make([[0, 1, 2], [-1, 0, 3], [-2, -3, 0]], n_gamma=2,
@@ -398,7 +401,7 @@ class TestWallCross:
 
     def test_matches_written_out_update(self):
         rng = random.Random("wall-cross-reference")
-        kinds, refused = set(), {"float r": 0, "too few vectors": 0}
+        kinds, refused = set(), {"inexact r": 0, "too few vectors": 0}
         for case in range(600):
             mu, n_gamma = rng.randint(2, 8), rng.randint(1, 4)
             R = random_sym(rng, mu, 0) if n_gamma % 2 else random_antisym(rng, mu)
@@ -422,7 +425,7 @@ class TestWallCross:
                 kinds.add("crossed")
             else:
                 kinds.add(want[0])
-                refused["float r"] += "is a float" in want[1]
+                refused["inexact r"] += "is not an int or a Fraction" in want[1]
                 refused["too few vectors"] += "needs cycle vectors" in want[1]
         assert kinds == {"crossed", ValueError, IndexError}
         assert all(refused.values())
@@ -478,7 +481,7 @@ class TestTensors:
     ])
     def test_float_refused(self, pairing, norm, name):
         T = RationalTensor.from_nested([[1, 2], [3, 4]])
-        with pytest.raises(ValueError, match=f"^{name} .* is a float"):
+        with pytest.raises(ValueError, match=f"^{name} .* is not an int or a Fraction$"):
             contract_pm(T, pairing, norm)
 
     def test_casimir_non_square_refused(self):
@@ -561,3 +564,23 @@ def reference_contract(tensor, pairing, normalization):
         return tuple(build(dim + 1, prefix + (k,)) for k in range(out_shape[dim]))
 
     return build(0, ()) if not out_shape else RationalTensor(out_shape, build(0, ()))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ThimbleState.make([[0, 1]], n_gamma=2), "intersection matrix has wrong shape"),
+    (lambda: ThimbleState.make([[0, 1], [-1, 0]], n_gamma=2, labels=["a"]),
+     "label count mismatch"),
+    (lambda: ThimbleState.make([[0, 1], [-1, 0]], n_gamma=2, cycle_coords=[[1, 0, 0]]),
+     "cycle vector length mismatch"),
+    # The extra entry used to be dropped: the pairing read 1.
+    (lambda: ThimbleState.make([[2, 1], [1, 2]]).pairing([1, 0, 5], [0, 1]),
+     "vectors of lengths 3 and 2, not mu=2"),
+    (lambda: ThimbleState.make([[2, 1], [1, 2]]).pairing([1, 0], [1]),
+     "vectors of lengths 2 and 1, not mu=2"),
+    # 1 + pl_sign * R[1][1] = 1 - 1 at n_gamma = 1.
+    (lambda: braid_move_inverse(ThimbleState.make([[2, 0], [0, 1]], n_gamma=1), 0),
+     "braid inverse undefined for this self-intersection"),
+], ids=["shape", "labels", "cycle-length", "long-vector", "short-vector", "braid-inverse"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

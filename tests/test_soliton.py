@@ -813,3 +813,29 @@ class TestSpectralChecks:
         # The eigenvalue loop refused these through numpy's LinAlgError.
         with pytest.raises(ValueError, match="not finite"):
             a1_bounded_spectrum_empty(eps)
+
+
+def cubic_morse():
+    return find_critical_points(parse_polynomial("x^3"), [-3.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: integrate_flow(parse_polynomial("x^3+y^3"), [3.0, 1.0], np.array([0.3]),
+                            (0.0, 1.0)),
+     r"expected vector of length 2, got shape \(1,\)"),
+    (lambda: homogeneous_decay_check(0.5, {-1: 1.0}, 2.0), "negative-mode input"),
+    (lambda: witten_vanishing_check(parse_polynomial("x^3"), 0.0), r"Theta must lie in \(0, 1\)"),
+    (lambda: witten_vanishing_check(parse_polynomial("x^3"), 1.0), r"Theta must lie in \(0, 1\)"),
+    # (-1, -2) used to wrap to the pair (1, 0) and count 1.
+    (lambda: count_bps_solitons(parse_polynomial("x^3"), cubic_morse(), -1, -2),
+     r"pair \(-1, -2\) outside 0..1"),
+    (lambda: count_bps_solitons(parse_polynomial("x^3"), cubic_morse(), 0, 2),
+     r"pair \(0, 2\) outside 0..1"),
+    # x^4 with the Morse data of x^3 used to count 0.
+    (lambda: count_bps_solitons(parse_polynomial("x^4"), cubic_morse(), 0, 1),
+     "W is not the polynomial of the Morse data"),
+], ids=["flow-u0-length", "decay-negative-mode", "witten-theta-0", "witten-theta-1",
+        "count-negative-pair", "count-pair-past-mu", "count-other-W"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

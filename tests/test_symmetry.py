@@ -284,3 +284,13 @@ class TestReport:
         assert lines[0] == "group_order 3"
         assert len(lines) == 4
         assert all(line.startswith("sector ") for line in lines[1:])
+
+
+def test_product_across_variable_counts_refused():
+    with pytest.raises(ValueError, match="^group elements live on different variable sets$"):
+        GroupElement((F(1, 3),)) * GroupElement((F(1, 3), F(0)))
+
+
+def test_element_on_other_variables_is_no_member():
+    assert not is_member(parse_polynomial("x^3"), GroupElement((F(1, 3), F(0))))
+    assert not is_member(parse_polynomial("x^3+y^3"), GroupElement((F(1, 3),)))

@@ -515,3 +515,42 @@ class TestMilnor:
         "x^5+x*y^2", "x^2*y+x*y^3", "x^3*y+x*y^3", "x^3*y+x*y^4"])
     def test_support_test_passes_isolated_singularities(self, text):
         assert wpoly.degenerate_support(parse_polynomial(text)) is None
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: wpoly.QHPoly(0, (), (), ()), PolynomialError, "need at least one variable"),
+    (lambda: wpoly.QHPoly(1, ((3, 0),), (1,), (Fraction(1, 3),)), PolynomialError,
+     "exponent row length mismatch"),
+    (lambda: wpoly.QHPoly(1, ((-3,),), (1,), (Fraction(-1, 3),)), PolynomialError,
+     "negative exponent"),
+    (lambda: wpoly.QHPoly(1, ((3,),), (0,), (Fraction(1, 3),)), PolynomialError,
+     "zero coefficient after merging"),
+    (lambda: wpoly.QHPoly(1, ((3,), (3,)), (1, 1), (Fraction(1, 3),)), PolynomialError,
+     r"duplicate monomial \(3,\)"),
+    (lambda: wpoly.QHPoly(1, ((3,),), (1,), (Fraction(1, 4),)), WeightError,
+     r"monomial \(3,\) has weight 3/4 != 1"),
+    (lambda: compute_weights([]), WeightError, "empty exponent matrix"),
+    (lambda: parse_polynomial(""), PolynomialError, "empty polynomial"),
+    (lambda: parse_polynomial("  "), PolynomialError, "empty polynomial"),
+], ids=["no-variables", "row-length", "negative-exponent", "zero-coefficient", "duplicate",
+        "weight", "empty-exponents", "empty-text", "blank-text"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("coeff", ["1234567", "0.1234567", "0.0000001", "2000000", "-2",
+                                   "(1+2i)", "(-1.5-0.0000001i)"])
+def test_text_parses_back_to_the_polynomial(coeff):
+    # :g wrote 1.23457e+06 (refused) and 0.123457 (a different W).
+    W = parse_polynomial(f"{coeff}*x^3+y^3")
+    assert parse_polynomial(W.text()) == W
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("x^3+x*y^2", "x1*x2^2 + x1^3"),
+    ("2.5*x^3+(1-0.5i)*y^3", "(1-0.5i)*x2^3 + 2.5*x1^3"),
+    ("-x^3+0.25*y^3", "0.25*x2^3 - 1*x1^3"),
+])
+def test_text_keeps_short_coefficients(text, rendered):
+    assert parse_polynomial(text).text() == rendered
