@@ -264,8 +264,9 @@ def graph_from_text(text: str) -> DecoratedGraph:
             continue
         parts = line.split()
         if parts[0] == "poly":
-            if W is None:
-                W = parse_polynomial(" ".join(parts[1:]))
+            if W is not None:
+                raise GraphError(f"second poly line {line!r}")
+            W = parse_polynomial(" ".join(parts[1:]))
             continue
         if parts[0] not in _RECORDS:
             raise GraphError(f"unknown record {parts[0]!r}")

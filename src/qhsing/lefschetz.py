@@ -3,17 +3,21 @@
 A ThimbleState is an ordered basis of mu labels with an integer
 intersection matrix R (R[i][j] = delta_i o delta_j) and optional
 virtual-cycle coordinate vectors expressed over the current basis.
-Orientation, braid and Gabrielov moves are unimodular changes of
-basis, applied as elementary row and column operations on R.  A
-monodromy h_i is a rank-1 change of determinant 1 + pl_sign * R[i][i]
-and is refused unless that is +-1.  A wall crossing is a braid move's
-row operation on the cycle vectors alone.  Entries pass through exact.fraction.
+Each move is a list of elementary steps on the basis: ("add", t, k, c)
+for delta_t += c * delta_k, ("neg", t) for delta_t = -delta_t, or
+("swap", t, k).  R takes each step as a row and a column operation
+(M R M^T), the cycle coordinates its inverse transpose (M^{-T} v), and
+the labels its swap.  A monodromy h_i is refused unless its determinant
+1 + pl_sign * R[i][i] is +-1.  A wall crossing applies a braid move's
+steps to the list of cycle vectors alone.  make passes entries through
+exact.fraction; the constructor refuses any but an int or a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import exact
@@ -56,6 +60,9 @@ class ThimbleState:
     cycle_coords: tuple[tuple[Fraction, ...], ...] | None = None
 
     def __post_init__(self):
+        inexact = set(map(type, chain(*self.R, *(self.cycle_coords or ())))) - {int, Fraction}
+        if inexact:
+            raise ValueError(f"{min(t.__name__ for t in inexact)} entry is not an int or a Fraction")
         if self.parity not in (-1, 1) or self.pl_sign not in (-1, 1):
             raise ValueError("parity and pl_sign must be +-1")
         if len(self.R) != self.mu or any(len(row) != self.mu for row in self.R):
@@ -89,39 +96,43 @@ class ThimbleState:
                    Fraction(0))
 
 
-def _row_ops(A, ops) -> list:
-    """Rows of A after row t becomes sum(c * A[k] for k, c in ops[t])."""
-    out = list(A)
-    for t, terms in ops.items():
-        row = None
-        for k, c in terms:
-            term = A[k] if c == 1 else [c * a for a in A[k]]
-            row = term if row is None else [x + y for x, y in zip(row, term)]
-        out[t] = tuple(row)
-    return out
+def _apply(steps, rows) -> list:
+    """The rows after each step in turn, as a row operation."""
+    rows = list(rows)
+    for op, t, *args in steps:
+        if op == "neg":
+            rows[t] = [-a for a in rows[t]]
+        elif op == "swap":
+            rows[t], rows[args[0]] = rows[args[0]], rows[t]
+        else:
+            k, c = args
+            rows[t] = [a + c * b for a, b in zip(rows[t], rows[k])]
+    return rows
 
 
-def _change_basis(state: ThimbleState, ops, inv_t_ops,
-                  labels: tuple[str, ...] | None = None) -> ThimbleState:
-    """New basis delta'_t = sum(c * delta_k for k, c in ops[t]).
+def _swap_labels(state: ThimbleState, steps) -> tuple[str, ...]:
+    return tuple(_apply([s for s in steps if s[0] == "swap"], state.labels))
 
-    ops lists the rows of the basis change M that differ from the
-    identity, and inv_t_ops those of M^{-T}.  The intersection matrix
-    becomes M R M^T: the row operations, then the same operations on
-    the columns.  Tracked cycle coordinates move by M^{-T}, so the
-    represented classes are unchanged.
+
+def _change_basis(state: ThimbleState, steps) -> ThimbleState:
+    """The state in the basis M delta, M the product of the steps.
+
+    R becomes M R M^T: the steps on the rows, then on the columns.  The
+    cycle coordinates take the steps' inverse transposes, which make
+    M^{-T}: v_k -= c * v_t for delta_t += c * delta_k, and a negation or
+    a swap is its own.  So the classes they represent are unchanged.
     """
-    MR = _row_ops(state.R, ops)
-    R = tuple(zip(*_row_ops(tuple(zip(*MR)), ops)))     # (M (M R)^T)^T = M R M^T
+    R = tuple(zip(*_apply(steps, zip(*_apply(steps, state.R)))))     # (M (M R)^T)^T = M R M^T
     coords = state.cycle_coords
     if coords:
-        coords = tuple(zip(*_row_ops(tuple(zip(*coords)), inv_t_ops)))
-    return replace(state, R=R, labels=labels if labels is not None else state.labels,
-                   cycle_coords=coords)
+        inverse_t = [("add", s[2], s[1], -s[3]) if s[0] == "add" else s for s in steps]
+        coords = tuple(zip(*_apply(inverse_t, zip(*coords))))
+    return replace(state, R=R, labels=_swap_labels(state, steps), cycle_coords=coords)
 
 
-def _swapped(labels: tuple[str, ...], j: int) -> tuple[str, ...]:
-    return labels[:j] + (labels[j + 1], labels[j]) + labels[j + 2:]
+def _braid(j: int, c) -> list:
+    """delta_j, delta_{j+1} become c * delta_j + delta_{j+1}, delta_j."""
+    return [("swap", j, j + 1), ("add", j, j + 1, c)]
 
 
 def _check_index(state: ThimbleState, *indices: int):
@@ -134,49 +145,39 @@ def monodromy_apply(state: ThimbleState, i: int) -> ThimbleState:
     """Picard-Lefschetz monodromy around critical value i (0-based).
 
     h_i sends delta_k to delta_k + u_k delta_i with u = pl_sign * R[:, i],
-    a rank-1 change of basis of determinant 1 + u_i.
+    so delta_i goes to (1 + u_i) delta_i, which must be +-delta_i.
     """
     _check_index(state, i)
     u = [state.pl_sign * row[i] for row in state.R]
     det = 1 + u[i]
     if det not in (1, -1):
         raise ValueError(f"basis change is not unimodular (det {det})")
-    off = [(k, uk) for k, uk in enumerate(u) if uk and k != i]
-    ops = {k: ((k, 1), (i, uk)) for k, uk in off}
-    ops[i] = ((i, det),)
-    # Sherman-Morrison: M^{-T} = I - e_i u^T / det, and 1 / det = det.
-    return _change_basis(state, ops, {i: [(i, det)] + [(k, -uk * det) for k, uk in off]})
+    steps = [("add", k, i, uk) for k, uk in enumerate(u) if uk and k != i]
+    return _change_basis(state, steps + [("neg", i)] * (det == -1))
 
 
 def braid_move(state: ThimbleState, j: int) -> ThimbleState:
     """Replace positions (j, j+1) by (h_j(delta_{j+1}), delta_j)."""
     _check_index(state, j, j + 1)
-    c = state.pl_sign * state.R[j + 1][j]
-    return _change_basis(state, {j: ((j, c), (j + 1, 1)), j + 1: ((j, 1),)},
-                         {j: ((j + 1, 1),), j + 1: ((j, 1), (j + 1, -c))},
-                         _swapped(state.labels, j))
+    return _change_basis(state, _braid(j, state.pl_sign * state.R[j + 1][j]))
 
 
 def braid_move_inverse(state: ThimbleState, j: int) -> ThimbleState:
     """Algebraic inverse of braid_move at the same position."""
     _check_index(state, j, j + 1)
-    # Undo delta'_j = c*delta_j + delta_{j+1}, delta'_{j+1} = delta_j.
-    # Requiring braid_move to reproduce the current state pins the
-    # coefficient x below from post-move intersection entries alone.
+    # Undo braid_move's steps with coefficient x, last first.  Requiring braid_move to
+    # reproduce the current state pins x from post-move intersection entries alone.
     denom = 1 + state.pl_sign * state.R[j + 1][j + 1]
     if denom == 0:
         raise ValueError("braid inverse undefined for this self-intersection")
     x = exact.fraction(state.pl_sign * state.R[j][j + 1]) / denom
-    return _change_basis(state, {j: ((j + 1, 1),), j + 1: ((j, 1), (j + 1, -x))},
-                         {j: ((j, x), (j + 1, 1)), j + 1: ((j, 1),)},
-                         _swapped(state.labels, j))
+    return _change_basis(state, _braid(j, -x)[::-1])
 
 
 def orientation_flip(state: ThimbleState, j: int) -> ThimbleState:
     """Flip the orientation of basis element j."""
     _check_index(state, j)
-    flip = {j: ((j, -1),)}
-    return _change_basis(state, flip, flip)
+    return _change_basis(state, [("neg", j)])
 
 
 def gabrielov_move(state: ThimbleState, i: int, j: int) -> ThimbleState:
@@ -184,8 +185,7 @@ def gabrielov_move(state: ThimbleState, i: int, j: int) -> ThimbleState:
     _check_index(state, i, j)
     if i == j:
         raise IndexError("Gabrielov move needs two distinct slots")
-    c = state.pl_sign * state.R[j][i]
-    return _change_basis(state, {j: ((j, 1), (i, c))}, {i: ((i, 1), (j, -c))})
+    return _change_basis(state, [("add", j, i, state.pl_sign * state.R[j][i])])
 
 
 def wall_cross(state: ThimbleState, i: int, direction: str,
@@ -195,10 +195,11 @@ def wall_cross(state: ThimbleState, i: int, direction: str,
     Left (crossing with Re alpha_i < Re alpha_{i+1}):
         v_i(+)   = v_{i+1}(-) + r * v_i(-)
         v_{i+1}(+) = v_i(-)
-    Right is the exact inverse with the same r, so Left followed by
-    Right is the identity.  Both are braid-type row operations on the
-    cycle vectors alone; the labels of slots i, i+1 swap.  A state with
-    no cycle vector at slot i or i + 1, or an inexact r, raises ValueError.
+    Right is the exact inverse with the same r.  They are the steps of
+    braid_move and braid_move_inverse with coefficient r, applied to the
+    list of cycle vectors, so the labels of slots i, i+1 swap.  A state
+    with no cycle vector at slot i or i + 1, or an inexact r, raises
+    ValueError.
     """
     _check_index(state, i, i + 1)
     coords = state.cycle_coords or ()
@@ -206,14 +207,11 @@ def wall_cross(state: ThimbleState, i: int, direction: str,
         raise ValueError(f"wall crossing at slot {i} needs cycle vectors {i} and {i + 1}, "
                          f"but the state tracks {len(coords)}")
     r = exact.fraction(r, "r")
-    if direction.lower() == "left":
-        ops = {i: ((i + 1, 1), (i, r)), i + 1: ((i, 1),)}
-    elif direction.lower() == "right":
-        ops = {i: ((i + 1, 1),), i + 1: ((i, 1), (i + 1, -r))}
-    else:
+    if direction.lower() not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
-    return replace(state, cycle_coords=tuple(_row_ops(list(coords), ops)),
-                   labels=_swapped(state.labels, i))
+    steps = _braid(i, r) if direction.lower() == "left" else _braid(i, -r)[::-1]
+    return replace(state, cycle_coords=tuple(map(tuple, _apply(steps, coords))),
+                   labels=_swap_labels(state, steps))
 
 
 @dataclass(frozen=True)

@@ -371,8 +371,12 @@ def six_tails():
     (lambda: glue_tails(six_tails(), -1, 0), "tail index out of range"),
     (lambda: glue_tails(six_tails(), 0, 9), "tail index out of range"),
     (lambda: graph_from_text("vertex 0 genus 1\n"), "no polynomial given"),
+    # The second line used to be dropped: the graph was read over x^3.
+    (lambda: graph_from_text("poly x^3\npoly x^4\nvertex 0 genus 2\n"),
+     r"second poly line 'poly x\^4'"),
 ], ids=["negative-genus", "edge-decoration", "tail-vertex", "cut-edge", "cut-edge-negative",
-        "forget-tail", "forget-tail-negative", "glue-negative", "glue-past-end", "no-poly-line"])
+        "forget-tail", "forget-tail-negative", "glue-negative", "glue-past-end", "no-poly-line",
+        "second-poly-line"])
 def test_refusals(call, message):
     with pytest.raises(GraphError, match=f"^{message}$"):
         call()

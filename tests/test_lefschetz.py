@@ -83,6 +83,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             st.pairing([0.5, 0], [0, 1])
 
+    def test_constructor_refuses_inexact_entries(self):
+        # The constructor used to take them: pairing then returned 0.1.
+        with pytest.raises(ValueError, match=r"^float entry is not an int or a Fraction$"):
+            ThimbleState(mu=2, R=((2, 0.1), (0.1, 2)), parity=1, pl_sign=-1, labels=("a", "b"))
+        with pytest.raises(ValueError, match=r"^float entry is not an int or a Fraction$"):
+            ThimbleState(mu=2, R=((2, 1), (1, 2)), parity=1, pl_sign=-1, labels=("a", "b"),
+                         cycle_coords=((1, 0), (0, 0.5)))
+        st = ThimbleState(mu=2, R=((2, F(1, 10)), (F(1, 10), 2)), parity=1, pl_sign=-1,
+                          labels=("a", "b"))
+        assert st.pairing([1, 0], [0, 1]) == F(1, 10)
+        # int entries stay exact: the inverse's coefficient is 1/4, not 0.25.
+        st = ThimbleState(mu=2, R=((2, 1), (1, 3)), parity=1, pl_sign=1, labels=("a", "b"))
+        assert braid_move(braid_move_inverse(st, 0), 0).R == st.R
+
 
 class TestMonodromy:
     def test_a2_reflection(self):
@@ -282,7 +296,7 @@ class TestMovesAgainstMatrixProducts:
     @pytest.mark.parametrize("move", sorted(MOVES))
     def test_move_matches_reference(self, move):
         rng = random.Random(f"elementary-{move}")
-        refused = fractional = 0
+        refused = fractional = negated = 0
         for case in range(16):
             mu = 24 if case == 0 else rng.randint(2, 24)
             st = random_move_state(rng, mu, rng.randint(1, 4))
@@ -292,6 +306,8 @@ class TestMovesAgainstMatrixProducts:
                 s = st.pl_sign
                 x = F(s * st.R[i][i + 1]) / (1 + s * st.R[i + 1][i + 1])
                 fractional += x.denominator > 1
+            if move == "monodromy":
+                negated += 1 + st.pl_sign * st.R[i][i] == -1
             try:
                 want = reference_move(st, move, i, j)
             except ValueError as exc:
@@ -307,6 +323,8 @@ class TestMovesAgainstMatrixProducts:
         assert bool(refused) == (move == "monodromy")
         if move == "braid_inverse":
             assert fractional
+        if move == "monodromy":
+            assert negated    # a det = -1 monodromy, which ends in a negate step
 
     def test_non_unimodular_monodromy_refused(self):
         # det = 1 + pl_sign * R[0][0] = 1 - 4 at n_gamma = 1.
