@@ -148,16 +148,14 @@ def cmd_graph(args, out):
         raise DomainError(f"--graph {args.graph}: not {exc.encoding} text") from exc
     graph = graphcalc.graph_from_text(text)
     vd = graphcalc.virtual_degree(graph)
-    degs, adm = graphcalc.line_bundle_degrees(
-        graph.W, graph.total_genus, [t.gamma for t in graph.tails])
     out.append(f"total_genus {graph.total_genus}")
     out.append(f"stable {str(graph.is_stable).lower()}")
     out.append(f"D {_fmt(vd.D)}")
     out.append(f"cycle_degree {_fmt(vd.cycle_degree)}")
     out.append(f"r_value {_fmt(vd.r_value)}")
     out.append(f"two_D_integral {str(vd.two_D_integral).lower()}")
-    out.append("line_bundle_degrees " + ",".join(_fmt(d) for d in degs))
-    out.append(f"admissible {str(adm).lower()}")
+    out.extend("line_bundle_degrees " + ",".join(_fmt(d) for d in degs) for degs in vd.degrees)
+    out.append(f"admissible {str(vd.degrees_integral).lower()}")
     return 0
 
 

@@ -2,8 +2,11 @@
 
 Graphs are immutable: vertices carry a genus, edges carry a balanced
 (gamma, gamma^{-1}) decoration pair, tails carry a single decoration.
-All degree and index formulas are exact: sums of integer numerators over
-a common denominator, so the integrality tests that drive the selection
+Every dimension figure comes from the line-bundle degrees, computed once
+per connected component: by Riemann-Roch D = N(g-1) - sum_i deg L_i
+(= c_hat*(g-1) + sum of tail iotas), and D, the cycle degree and r add
+over components.  The degrees are sums of integer numerators over a
+common denominator, so the integrality tests that drive the selection
 rules are never subject to rounding.
 """
 
@@ -16,8 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .wpoly import QHPoly, parse_polynomial
-from .symmetry import (GroupElement, central_charge, enumerate_group,
-                       exponential_grading, is_member, sector_data)
+from .symmetry import GroupElement, enumerate_group, exponential_grading, is_member
 
 __all__ = [
     "GraphError",
@@ -91,21 +93,24 @@ class DecoratedGraph:
             k[t.vertex] += 1
         return k
 
-    def n_components(self) -> int:
-        nv = len(self.genera)
-        parent = list(range(nv))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+    def components(self) -> list[tuple[int, tuple[GroupElement, ...]]]:
+        """(genus, tail decorations) of each connected component, in the order
+        of its lowest vertex; the genus is vertex genera + edges - vertices + 1."""
+        label = list(range(len(self.genera)))  # the lowest vertex of each component
+        for _ in self.genera:  # each pass carries the lowest label at least one edge on
+            for e in self.edges:
+                label[e.v1] = label[e.v2] = min(label[e.v1], label[e.v2])
+        comps: dict[int, list] = {}
+        for v, g in enumerate(self.genera):
+            comps.setdefault(label[v], [1, []])[0] += g - 1
         for e in self.edges:
-            ra, rb = find(e.v1), find(e.v2)
-            if ra != rb:
-                parent[ra] = rb
-        return len({find(v) for v in range(nv)})
+            comps[label[e.v1]][0] += 1
+        for t in self.tails:
+            comps[label[t.vertex]][1].append(t.gamma)
+        return [(g, tuple(tails)) for g, tails in comps.values()]
+
+    def n_components(self) -> int:
+        return len(self.components())
 
     def betti_1(self) -> int:
         return len(self.edges) - len(self.genera) + self.n_components()
@@ -134,17 +139,14 @@ def line_bundle_degrees(W: QHPoly, g: int, tails: Sequence[GroupElement]
 
 
 def witten_index(W: QHPoly, g: int, tails: Sequence[GroupElement]) -> int:
-    """Fredholm index 2*c_hat*(1-g) - 2*sum iota - sum N_gamma, exact.
+    """Fredholm index 2(sum_i deg L_i + N(1-g)) - sum N_gamma, exact.
 
-    A non-integer value signals an inadmissible type; this is
-    cross-checked against the degree integrality test.
+    By Riemann-Roch this is 2*c_hat*(1-g) - 2*sum iota - sum N_gamma.
+    A non-integer value signals an inadmissible type.
     """
-    secs = [sector_data(W, gamma) for gamma in tails]
-    idx = 2 * central_charge(W) * (1 - g) - sum(2 * sec.iota + sec.n_gamma for sec in secs)
-    _, admissible = line_bundle_degrees(W, g, tails)
+    degs, _ = line_bundle_degrees(W, g, tails)
+    idx = 2 * (sum(degs) + W.n_vars * (1 - g)) - sum(gamma.k.count(0) for gamma in tails)
     if idx.denominator != 1:
-        if admissible:
-            raise RuntimeError("degree test and index integrality disagree")
         raise ValueError(f"non-integer index {idx}: inadmissible type")
     return int(idx)
 
@@ -153,38 +155,33 @@ def witten_index(W: QHPoly, g: int, tails: Sequence[GroupElement]) -> int:
 class VirtualDegree:
     """Exact dimension bookkeeping for a decorated graph."""
 
-    D: Fraction                  # c_hat*(g-1) + sum of tail iotas
-    cycle_degree: Fraction       # 6g-6+2k - 2D - 2#E
+    D: Fraction                  # sum over components of N(g-1) - sum_i deg L_i
+    cycle_degree: Fraction       # sum over components of 6g-6+2k, - 2D - 2#E
     r_value: Fraction            # cycle_degree - sum of tail N_gamma
     two_D_integral: bool         # 2D in Z (half-integer test on D)
     two_D_parity_odd: bool | None  # parity of 2D when integral, else None
     degrees_integral: bool       # every line-bundle degree integral
+    degrees: tuple[tuple[Fraction, ...], ...]  # line-bundle degrees, one tuple per component
 
 
 def virtual_degree(graph: DecoratedGraph) -> VirtualDegree:
-    """Dimension-formula data for a decorated graph.
+    """Dimension-formula data for a decorated graph, from its components' degrees.
 
     The half-integer vanishing flag (2D not an integer) and the parity
     of 2D are reported separately from per-variable degree integrality;
     the two tests do not collapse into one emptiness predicate.
     """
-    W = graph.W
-    g = graph.total_genus
-    k = len(graph.tails)
-    secs = [sector_data(W, t.gamma) for t in graph.tails]
-    # D = c_hat*(g-1) + sum of tail iotas, summed in integers over the
-    # lcm M of their denominators.
-    parts = [(g - 1, central_charge(W))] + [(1, sec.iota) for sec in secs]
-    M = math.lcm(*(x.denominator for _, x in parts))
-    D = sum(m * x.numerator * (M // x.denominator) for m, x in parts)
-    degree = (6 * g - 6 + 2 * k - 2 * len(graph.edges)) * M - 2 * D
-    r = degree - sum(sec.n_gamma for sec in secs) * M
-    integral = 2 * D % M == 0
-    _, adm = line_bundle_degrees(W, g, [t.gamma for t in graph.tails])
-    return VirtualDegree(D=Fraction(D, M), cycle_degree=Fraction(degree, M),
-                         r_value=Fraction(r, M), two_D_integral=integral,
-                         two_D_parity_odd=(2 * D // M % 2 == 1) if integral else None,
-                         degrees_integral=adm)
+    comps = graph.components()
+    per = [line_bundle_degrees(graph.W, g, tails) for g, tails in comps]
+    N = graph.W.n_vars
+    D = sum((N * (g - 1) - sum(degs) for (g, _), (degs, _) in zip(comps, per)), Fraction(0))
+    degree = sum(6 * g - 6 + 2 * len(t) for g, t in comps) - 2 * len(graph.edges) - 2 * D
+    r = degree - sum(t.gamma.k.count(0) for t in graph.tails)
+    integral = (2 * D).denominator == 1
+    return VirtualDegree(D=D, cycle_degree=degree, r_value=r, two_D_integral=integral,
+                         two_D_parity_odd=(2 * D).numerator % 2 == 1 if integral else None,
+                         degrees_integral=all(adm for _, adm in per),
+                         degrees=tuple(degs for degs, _ in per))
 
 
 def cut_edge(graph: DecoratedGraph, edge_index: int) -> DecoratedGraph:

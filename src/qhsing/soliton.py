@@ -353,12 +353,15 @@ def energy_identity_check(W: QHPoly, b, traj: FlowTrajectory) -> float:
 
     Compares the drop of (W + W0) between the endpoint critical values
     with 2*integral of |grad(W+W0)|^2 ds along the samples.  Along the flow
-    |du/ds|^2 = 4 |grad|^2, so the integrand is |du/ds|^2 / 2.
+    |du/ds|^2 = 4 |grad|^2, so the integrand is |du/ds|^2 / 2.  A b whose
+    length is not N raises ValueError.
     """
     bwd, fwd = traj.endpoints
+    b = np.asarray(b, dtype=complex)
+    if b.shape != (W.n_vars,):
+        raise ValueError(f"expected b of length {W.n_vars}, got shape {b.shape}")
     if bwd is None or fwd is None:
         raise ValueError("open trajectory: both endpoints must be critical points")
-    b = np.asarray(b, dtype=complex)
     w_start = perturbed_value(W, b, traj.u[0])
     w_end = perturbed_value(W, b, traj.u[-1])
     delta = (w_end - w_start).real
@@ -451,8 +454,14 @@ def homogeneous_decay_check(theta: float, coeffs: dict[int, complex],
     which the pointwise bound
         |v| <= sqrt(2/Theta) e^{-Theta s} ||d_s v||_{L^2} (1-e^{-2T})^{-1/2}
     is exceeded on the sample grid (<= 0 means the bound holds).
-    Angular integrals use the normalized measure on the circle.
+    Angular integrals use the normalized measure on the circle.  Theta
+    outside (0, 1), a T that is not finite and positive, a negative mode,
+    or fewer than two samples of sup|v| above 1e-300 raise ValueError.
     """
+    if not (0 < theta < 1):
+        raise ValueError("Theta must lie in (0, 1)")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T}")
     if any(n < 0 for n in coeffs):
         raise ValueError("negative-mode input")
     s_vals = np.linspace(T, 2 * T, DECAY_S_SAMPLES)
@@ -464,6 +473,8 @@ def homogeneous_decay_check(theta: float, coeffs: dict[int, complex],
             v += c * np.exp(-(n + theta) * s) * np.exp(-1j * n * ang_vals)
         sup[k] = np.max(np.abs(v))
     mask = sup > 1e-300
+    if np.count_nonzero(mask) < 2:
+        raise ValueError("fewer than two samples of sup|v| above 1e-300 to fit a decay rate")
     slope = float(np.polyfit(s_vals[mask], np.log(sup[mask]), 1)[0])
     # ||d_s v||^2 over [0, inf) x S^1 with normalized angular measure.
     energy = sum((n + theta) ** 2 * abs(c) ** 2 / (2 * (n + theta))
@@ -517,7 +528,7 @@ def witten_vanishing_check(W: QHPoly, theta: float, n_starts: int = 50,
     ends converged (step <= WITTEN_TOL * max(1, max |v|)) to zero (max |v|
     <= WITTEN_ZERO), converged to a nonzero field, or unconverged (a
     singular block, an overflow, or WITTEN_MAX_ITER steps).  Returns True
-    only when every start converged to zero.
+    only when every start converged to zero; n_starts < 1 raises ValueError.
 
     The discrete system also has mesh-scale roots that do not survive
     refinement: for x^3 a node after zero nodes solves c v + 6 conj(v)^2
@@ -526,6 +537,8 @@ def witten_vanishing_check(W: QHPoly, theta: float, n_starts: int = 50,
     """
     if not (0 < theta < 1):
         raise ValueError("Theta must lie in (0, 1)")
+    if n_starts < 1:
+        raise ValueError(f"need at least one start, got n_starts={n_starts}")
     rng = np.random.default_rng(seed)
     size = (WITTEN_GRID, W.n_vars)
     h = float(np.diff(np.linspace(-WITTEN_S_MAX, WITTEN_S_MAX, WITTEN_GRID))[0])

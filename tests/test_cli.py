@@ -74,6 +74,17 @@ class TestGraph:
         assert "cycle_degree 0" in out
         assert "admissible true" in out
 
+    def test_disjoint_graph_report(self, capsys, tmp_path):
+        # Two copies of the x^3 point class report as one copy does, with one
+        # degree line per component.
+        path = tmp_path / "two.graph"
+        path.write_text("poly x^3\nvertex 0 genus 0\nvertex 1 genus 0\n"
+                        + "".join(f"tail {v} gamma {k}\n" for v in (0, 1) for k in (1, 1, 2)))
+        assert run(capsys, "graph", "--graph", str(path)) == (0, (
+            "total_genus 0\nstable true\nD 0\ncycle_degree 0\nr_value 0\n"
+            "two_D_integral true\nline_bundle_degrees -1\nline_bundle_degrees -1\n"
+            "admissible true\n"))
+
     def test_malformed_graph_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_text("poly x^3\nvertex 0\n")

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,17 @@ class TestGraphBasics:
                            tails=(Tail(0, g3(1)), Tail(1, g3(2))))
         assert g.betti_1() == 0
         assert g.total_genus == 2
+
+    def test_components(self):
+        # A loop at vertex 0, a tree 1 - 2 and a lone vertex 3, listed by lowest vertex.
+        W = parse_polynomial("x^3")
+        g = DecoratedGraph(W=W, genera=(0, 1, 2, 0),
+                           edges=(Edge(2, 1, g3(1)), Edge(0, 0, g3(2))),
+                           tails=(Tail(3, g3(1)), Tail(2, g3(2)), Tail(0, g3(0)), Tail(1, g3(1))),
+                           allow_unstable=True)
+        assert g.components() == [(1, (g3(0),)), (3, (g3(2), g3(1))), (0, (g3(1),))]
+        assert g.n_components() == 3
+        assert g.total_genus == 4
 
     def test_bad_decoration_rejected(self):
         W = parse_polynomial("x^3")
@@ -129,6 +141,34 @@ class TestSelectionRule:
                 assert vd.two_D_integral == ((2 * D).denominator == 1)
                 assert vd.two_D_parity_odd == (
                     int(2 * D) % 2 == 1 if vd.two_D_integral else None)
+                assert vd.degrees == (want,)
+                assert vd.degrees_integral == all(x.denominator == 1 for x in want)
+            # Several vertices: a tree, two disjoint vertices, and a loop beside a
+            # tree.  The reference sums plain Fractions over the components, each
+            # given by hand as (genus, tail decorations).
+            for genera, edges, tails, parts in (
+                    ((0, 1), (Edge(0, 1, a),), ((0, a), (0, b), (1, b)), [(1, [a, b, b])]),
+                    ((0, 2), (), ((0, a), (0, b), (0, (a * b).inverse()), (1, a)),
+                     [(0, [a, b, (a * b).inverse()]), (2, [a])]),
+                    ((0, 1, 0), (Edge(0, 0, b), Edge(1, 2, a)), ((0, a), (2, b), (2, a)),
+                     [(1, [a]), (1, [b, a])])):
+                graph = DecoratedGraph(W=W, genera=genera, edges=edges,
+                                       tails=tuple(Tail(v, gam) for v, gam in tails),
+                                       allow_unstable=True)
+                vd = virtual_degree(graph)
+                degs = tuple(tuple(qi * (2 * g - 2 + len(ts))
+                                   - sum((t.theta[i] for t in ts), F(0))
+                                   for i, qi in enumerate(q)) for g, ts in parts)
+                D = sum(c * (g - 1) + sum(sum((t - qi for t, qi in zip(gam.theta, q)), F(0))
+                                          for gam in ts) for g, ts in parts)
+                assert vd.degrees == degs
+                assert vd.degrees_integral == all(x.denominator == 1 for d in degs for x in d)
+                assert vd.D == D
+                assert vd.cycle_degree == (sum(6 * g - 6 + 2 * len(ts) for g, ts in parts)
+                                           - 2 * len(edges) - 2 * D)
+                assert vd.r_value == vd.cycle_degree - sum(
+                    sum(1 for t in gam.theta if t == 0) for _, gam in tails)
+                assert vd.two_D_integral == ((2 * D).denominator == 1)
 
 
 class TestWittenIndex:
@@ -193,6 +233,52 @@ class TestCutGlue:
         cut = cut_edge(graph, 0)
         assert cut.n_components() == 2
         assert cut.total_genus == 2
+
+    def test_disjoint_point_classes(self):
+        # Two copies of the x^3 point class: D, the cycle degree and r add
+        # over the components, and each component is admissible.
+        W = parse_polynomial("x^3")
+        one = DecoratedGraph(W=W, genera=(0,), edges=(),
+                             tails=(Tail(0, g3(1)), Tail(0, g3(1)), Tail(0, g3(2))))
+        two = DecoratedGraph(W=W, genera=(0, 0), edges=(),
+                             tails=one.tails + tuple(Tail(1, t.gamma) for t in one.tails))
+        vd = virtual_degree(two)
+        assert (vd.D, vd.cycle_degree, vd.r_value) == (0, 0, 0)
+        assert vd.degrees_integral and vd.degrees == ((F(-1),), (F(-1),))
+        assert vd == replace(virtual_degree(one), degrees=vd.degrees)
+
+    def test_tree_cut_keeps_an_admissible_genus_0_graph(self):
+        # x^3, tails (1/3, 1/3) at vertex 0 and (1/3, 2/3) at vertex 1, joined
+        # by an edge decorated 2/3 (narrow): each side is a point class.
+        W = parse_polynomial("x^3")
+        graph = DecoratedGraph(W=W, genera=(0, 0), edges=(Edge(0, 1, g3(2)),),
+                               tails=(Tail(0, g3(1)), Tail(0, g3(1)),
+                                      Tail(1, g3(1)), Tail(1, g3(2))))
+        vd, vd_cut = virtual_degree(graph), virtual_degree(cut_edge(graph, 0))
+        assert vd.degrees_integral and vd_cut.degrees_integral
+        assert (vd_cut.D, vd_cut.cycle_degree) == (vd.D, vd.cycle_degree) == (0, 0)
+        assert len(vd_cut.degrees) == 2
+
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_tree_cut_sweep(self, text):
+        # Cutting a tree edge decorated gamma splits a genus-0 graph in two:
+        # D drops by N_gamma, the cycle degree rises by 2 N_gamma, r is
+        # unchanged, and admissible halves make an admissible whole.
+        W = parse_polynomial(text)
+        group = enumerate_group(W)
+        for a in group:
+            for b in group:
+                for gam in group:
+                    graph = DecoratedGraph(W=W, genera=(0, 0), edges=(Edge(0, 1, gam),),
+                                           tails=(Tail(0, a), Tail(0, b), Tail(1, b), Tail(1, a)))
+                    vd, vd_cut = virtual_degree(graph), virtual_degree(cut_edge(graph, 0))
+                    n_gamma = sector_data(W, gam).n_gamma
+                    assert vd_cut.D == vd.D - n_gamma
+                    assert vd_cut.cycle_degree == vd.cycle_degree + 2 * n_gamma
+                    assert vd_cut.r_value == vd.r_value
+                    assert vd_cut.degrees == (line_bundle_degrees(W, 0, [a, b, gam])[0],
+                                              line_bundle_degrees(W, 0, [b, a, gam.inverse()])[0])
+                    assert vd.degrees_integral or not vd_cut.degrees_integral
 
     def test_undecorated_edge_rejected(self):
         W = parse_polynomial("x^3")

@@ -819,6 +819,13 @@ def cubic_morse():
     return find_critical_points(parse_polynomial("x^3"), [-3.0])
 
 
+def cubic_orbit():
+    """The connecting orbit of the x^3 - 3x wall, closed at both ends."""
+    W, m, i, _ = cubic_wall_data()
+    pts = [np.array(p) for p in m.critical_points]
+    return integrate_flow(W, m.b, pts[i] + np.array([-1e-3]), (0.0, 60.0), critical_points=pts)
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: integrate_flow(parse_polynomial("x^3+y^3"), [3.0, 1.0], np.array([0.3]),
                             (0.0, 1.0)),
@@ -834,8 +841,33 @@ def cubic_morse():
     # x^4 with the Morse data of x^3 used to count 0.
     (lambda: count_bps_solitons(parse_polynomial("x^4"), cubic_morse(), 0, 1),
      "W is not the polynomial of the Morse data"),
+    # Theta = 1.5 used to return (-1.5, -0.0038); Theta = 0 divided by zero.
+    (lambda: homogeneous_decay_check(1.5, {0: 1.0}, 2.0), r"Theta must lie in \(0, 1\)"),
+    (lambda: homogeneous_decay_check(0.0, {0: 1.0}, 2.0), r"Theta must lie in \(0, 1\)"),
+    # T = 0, nan and inf used to fail inside numpy (LinAlgError, TypeError).
+    (lambda: homogeneous_decay_check(0.5, {0: 1.0}, 0.0), "T must be finite and positive, got 0.0"),
+    (lambda: homogeneous_decay_check(0.5, {0: 1.0}, math.nan), "T must be finite and positive, got nan"),
+    (lambda: homogeneous_decay_check(0.5, {0: 1.0}, math.inf), "T must be finite and positive, got inf"),
+    # A zero field has no sample to fit; both raised TypeError.
+    (lambda: homogeneous_decay_check(0.5, {}, 2.0),
+     r"fewer than two samples of sup\|v\| above 1e-300 to fit a decay rate"),
+    (lambda: homogeneous_decay_check(0.5, {0: 0}, 2.0),
+     r"fewer than two samples of sup\|v\| above 1e-300 to fit a decay rate"),
+    # Both used to return True without running a start.
+    (lambda: witten_vanishing_check(parse_polynomial("x^3"), 1 / 3, n_starts=0),
+     "need at least one start, got n_starts=0"),
+    (lambda: witten_vanishing_check(parse_polynomial("x^3"), 1 / 3, n_starts=-5),
+     "need at least one start, got n_starts=-5"),
+    # [] used to read as b = 0 (residual 5.997); [-3, 7] dropped the 7.
+    (lambda: energy_identity_check(parse_polynomial("x^3"), [], cubic_orbit()),
+     r"expected b of length 1, got shape \(0,\)"),
+    (lambda: energy_identity_check(parse_polynomial("x^3"), [-3, 7], cubic_orbit()),
+     r"expected b of length 1, got shape \(2,\)"),
 ], ids=["flow-u0-length", "decay-negative-mode", "witten-theta-0", "witten-theta-1",
-        "count-negative-pair", "count-pair-past-mu", "count-other-W"])
+        "count-negative-pair", "count-pair-past-mu", "count-other-W",
+        "decay-theta-above-1", "decay-theta-0", "decay-T-0", "decay-T-nan", "decay-T-inf",
+        "decay-no-modes", "decay-zero-field", "witten-no-starts", "witten-negative-starts",
+        "energy-empty-b", "energy-long-b"])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
